@@ -37,8 +37,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <sys/resource.h>
+#include <thread>
 #include <vector>
 
 #include "common/env.hpp"
@@ -80,6 +82,34 @@ cpuSeconds()
     getrusage(RUSAGE_SELF, &ru);
     return double(ru.ru_utime.tv_sec) + double(ru.ru_utime.tv_usec) * 1e-6 +
            double(ru.ru_stime.tv_sec) + double(ru.ru_stime.tv_usec) * 1e-6;
+}
+
+/** JSON object naming the host a BENCH_*.json was measured on (CPU
+ *  model, logical CPUs, compiler, assertions).  Host-cost fields only
+ *  compare between files with the same fingerprint. */
+inline std::string
+hostJson()
+{
+    std::string cpu = "unknown";
+    std::ifstream info("/proc/cpuinfo");
+    for (std::string line; std::getline(info, line);) {
+        const auto colon = line.find(':');
+        if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+            cpu = line.substr(line.find_first_not_of(' ', colon + 1));
+            break;
+        }
+    }
+    std::ostringstream os;
+    os << "{\"cpu_model\": \"" << cpu
+       << "\", \"nproc\": " << std::thread::hardware_concurrency()
+       << ", \"compiler\": \"" << __VERSION__ << "\", \"ndebug\": "
+#ifdef NDEBUG
+       << "true"
+#else
+       << "false"
+#endif
+       << "}";
+    return os.str();
 }
 
 /** The benchmark pairs a figure aggregates over. */

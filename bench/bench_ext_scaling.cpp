@@ -17,10 +17,13 @@
  * seed, so those fields are machine-independent and diff only when
  * behaviour changes.  Each row also records host cost —
  * host_cycles_per_sec and host_sec_total, clocked on process CPU time
- * — which IS machine-dependent; treat those two fields as a
- * same-machine trajectory, not a cross-machine contract.  The headline
- * figure is per-cluster throughput retention at 64 clusters vs the
- * paper-sized 16-cluster chip.
+ * — which IS machine-dependent; treat those fields as a same-machine
+ * trajectory, not a cross-machine contract (the file records its host).
+ * `host_cost_per_cluster_vs_16` is host seconds per simulated
+ * cluster-cycle relative to the 16-cluster row: 1 means the simulator's
+ * cost grows linearly with the chip.  The headline figure is
+ * per-cluster throughput retention at 64 clusters vs the paper-sized
+ * 16-cluster chip.
  *
  * Knobs: PEARL_BENCH_CYCLES (60000), PEARL_BENCH_WARMUP (10000),
  * PEARL_BENCH_JSON (BENCH_scaling.json), PEARL_THREADS (worker
@@ -55,6 +58,12 @@ struct ScalingRow
     double laserPjPerBit = 0.0;
     double hostSecTotal = 0.0;      //!< process CPU seconds for the run
     double hostCyclesPerSec = 0.0;  //!< simulated cycles per host second
+
+    /** Host seconds per simulated cluster-cycle, up to a constant. */
+    double hostCostPerCluster() const
+    {
+        return hostSecTotal / topo.clusters;
+    }
 };
 
 void
@@ -65,8 +74,11 @@ writeJson(const std::string &path, const std::vector<ScalingRow> &rows,
     if (!out)
         fatal("cannot write ", path);
     const double base = rows.front().perCluster;
+    const double base_cost = rows.front().hostCostPerCluster();
     out << "{\n"
         << "  \"bench\": \"ext_scaling\",\n"
+        << "  \"clock\": \"process_cpu_time\",\n"
+        << "  \"host\": " << hostJson() << ",\n"
         << "  \"pair\": \"FA/DCT\",\n"
         << "  \"seed\": " << kSeed << ",\n"
         << "  \"warmup_cycles\": " << warmup << ",\n"
@@ -88,6 +100,8 @@ writeJson(const std::string &path, const std::vector<ScalingRow> &rows,
             << ", \"delivered_packets\": " << r.m.deliveredPackets
             << ", \"host_cycles_per_sec\": " << r.hostCyclesPerSec
             << ", \"host_sec_total\": " << r.hostSecTotal
+            << ", \"host_cost_per_cluster_vs_16\": "
+            << (base_cost > 0.0 ? r.hostCostPerCluster() / base_cost : 0.0)
             << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     out << "  ]\n"
@@ -106,9 +120,10 @@ validateJson(const std::string &path)
     buf << in.rdbuf();
     const std::string text = buf.str();
     for (const char *key :
-         {"\"bench\": \"ext_scaling\"", "\"results\"",
+         {"\"bench\": \"ext_scaling\"", "\"results\"", "\"host\"",
           "\"per_cluster_throughput\"", "\"waveguide_groups\"",
-          "\"host_cycles_per_sec\"", "\"host_sec_total\""}) {
+          "\"host_cycles_per_sec\"", "\"host_sec_total\"",
+          "\"host_cost_per_cluster_vs_16\""}) {
         if (text.find(key) == std::string::npos)
             fatal(path, ": missing key ", key);
     }
@@ -169,7 +184,8 @@ run()
     metrics::Runner runner;
     TextTable t({"clusters", "groups", "thru (flits/cyc)",
                  "thru/cluster", "vs 16", "avg lat", "cpu lat",
-                 "laser energy/bit (pJ)", "host c/s"});
+                 "laser energy/bit (pJ)", "host c/s",
+                 "host cost/cluster vs 16"});
     std::vector<ScalingRow> rows;
     for (std::size_t i = 0; i < specs.size(); ++i) {
         ScalingRow row;
@@ -194,6 +210,7 @@ run()
         rows.push_back(row);
     }
     const double base = rows.front().perCluster;
+    const double base_cost = rows.front().hostCostPerCluster();
     for (const ScalingRow &r : rows) {
         t.addRow({std::to_string(r.topo.clusters),
                   std::to_string(r.topo.numGroups()),
@@ -204,7 +221,11 @@ run()
                   TextTable::num(r.m.avgLatencyCycles, 1),
                   TextTable::num(r.m.cpuLatencyCycles, 1),
                   TextTable::num(r.laserPjPerBit, 2),
-                  TextTable::num(r.hostCyclesPerSec, 0)});
+                  TextTable::num(r.hostCyclesPerSec, 0),
+                  TextTable::num(base_cost > 0.0
+                                     ? r.hostCostPerCluster() / base_cost
+                                     : 0.0,
+                                 2)});
     }
     emit(t);
 

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <iostream>
 
+#include "common/env.hpp"
 #include "common/table.hpp"
 #include "core/network.hpp"
 #include "core/system.hpp"
@@ -115,8 +116,8 @@ runCmeshDiag(const traffic::BenchmarkPair &pair, sim::Cycle cycles)
 int
 main(int argc, char **argv)
 {
-    const sim::Cycle cycles = argc > 1 ? std::atoll(argv[1]) : 20000;
-    const double scale = argc > 2 ? std::atof(argv[2]) : 1.0;
+    const sim::Cycle cycles = argc > 1 ? argU64(argv[1], "cycles") : 20000;
+    const double scale = argc > 2 ? argDouble(argv[2], "scale") : 1.0;
     traffic::BenchmarkSuite suite;
 
     TextTable table({"pair", "net", "inj pkt/cyc", "del flit/cyc",

@@ -16,6 +16,7 @@
 #include <iostream>
 #include <memory>
 
+#include "common/env.hpp"
 #include "common/table.hpp"
 #include "metrics/runner.hpp"
 #include "ml/policy.hpp"
@@ -34,9 +35,7 @@ main(int argc, char **argv)
 
     metrics::RunOptions opts;
     opts.warmupCycles = 10000;
-    opts.measureCycles = argc > 3
-                             ? static_cast<sim::Cycle>(atoll(argv[3]))
-                             : 60000;
+    opts.measureCycles = argc > 3 ? argU64(argv[3], "cycles") : 60000;
     core::DbaConfig dba;
 
     std::cout << "Power-performance frontier for " << pair.label()

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <iostream>
 
+#include "common/env.hpp"
 #include "common/table.hpp"
 #include "core/network.hpp"
 #include "core/system.hpp"
@@ -28,7 +29,7 @@ int
 main(int argc, char **argv)
 {
     const sim::Cycle capture_cycles =
-        argc > 1 ? static_cast<sim::Cycle>(atoll(argv[1])) : 20000;
+        argc > 1 ? argU64(argv[1], "capture cycles") : 20000;
     traffic::BenchmarkSuite suite;
     traffic::BenchmarkPair pair{suite.find("x264"), suite.find("Reduc")};
 

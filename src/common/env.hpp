@@ -126,6 +126,31 @@ parseBool(const std::string &text, bool &out)
 }
 
 /**
+ * Parse a command-line argument as an unsigned integer (parseU64
+ * rules).  Exits through fatal() naming `what` when it does not parse,
+ * so a typo cannot become a silent zero.
+ */
+inline std::uint64_t
+argU64(const char *text, const char *what)
+{
+    std::uint64_t out = 0;
+    if (!parseU64(text, out))
+        fatal(what, " must be a non-negative integer, got \"", text, "\"");
+    return out;
+}
+
+/** Parse a command-line argument as a double (parseDouble rules);
+ *  exits through fatal() naming `what` when it does not parse. */
+inline double
+argDouble(const char *text, const char *what)
+{
+    double out = 0.0;
+    if (!parseDouble(text, out))
+        fatal(what, " must be a number, got \"", text, "\"");
+    return out;
+}
+
+/**
  * Read a double environment variable.  An unset variable yields
  * `fallback`; an unparseable value warns and yields `fallback` — same
  * contract as envU64.

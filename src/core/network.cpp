@@ -43,7 +43,7 @@ PearlNetwork::PearlNetwork(const PearlConfig &cfg,
     const std::size_t inflight_bound =
         static_cast<std::size_t>(cfg_.numNodes()) * 64;
     inFlight_.reserve(inflight_bound);
-    retryScratch_.reserve(inflight_bound);
+    parkedAt_.assign(static_cast<std::size_t>(cfg_.numNodes()), 0);
     doneScratch_.reserve(64);
     bitsScratch_.assign(static_cast<std::size_t>(cfg_.numNodes()), 0);
     if (cfg_.faults.enabled) {
@@ -130,15 +130,24 @@ PearlNetwork::step()
     if (faults_.enabled())
         stepFaultPlane();
 
-    // 1. Land due arrivals into receive buffers; full buffers retry.
-    retryScratch_.clear();
+    // 1. Arrivals.  Packets parked at a full rx buffer on an earlier
+    //    cycle go first, oldest first, while their buffer has room;
+    //    then the due arrivals land in heap order, and any that meet a
+    //    full buffer park at the back of their FIFO.  Parked packets
+    //    stay out of the heap, so a saturated receiver costs work per
+    //    packet that moves, not per packet that waits.
+    if (parkedTotal_ > 0) {
+        for (int d = 0; d < cfg_.numNodes(); ++d) {
+            if (parkedAt_[static_cast<std::size_t>(d)] > 0)
+                wakeParked(d);
+        }
+    }
     while (!inFlight_.empty() && inFlight_.top().due <= cycle_) {
         InFlight f = inFlight_.top();
         inFlight_.pop();
         auto &dst = *routers_[static_cast<std::size_t>(f.pkt.dst)];
-        if (faults_.enabled() && !f.faultChecked) {
-            // One BER draw per arrival (not per rx-buffer retry).
-            f.faultChecked = true;
+        if (faults_.enabled()) {
+            // One BER draw per arrival; a parked packet keeps its own.
             double trim_gap = 0.0;
             bool locked = true;
             receiverThermal(f.pkt.dst, trim_gap, locked);
@@ -162,19 +171,14 @@ PearlNetwork::step()
                 }
                 continue; // corrupted flits never enter the rx buffer
             }
-            // Clean arrival: the ACK retires the source's copy.  The
-            // rx-buffer retry loop below is lossless, so acknowledging
-            // here cannot create duplicates.
+            // Clean arrival: the ACK retires the source's copy.
+            // Parking is lossless, so acknowledging here cannot create
+            // duplicates.
             if (it != src_outstanding.end())
                 src_outstanding.erase(it);
         }
-        if (!dst.rxEnqueue(f.pkt)) {
-            f.due = cycle_ + 1;
-            retryScratch_.push_back(std::move(f));
-        }
+        landOrPark(f.pkt);
     }
-    for (auto &f : retryScratch_)
-        inFlight_.push(std::move(f));
 
     // 1b. Group-local fault caps: a group's express pool shrinks with
     //     its own failed laser banks (never below one slot), so a sick
@@ -333,6 +337,79 @@ PearlNetwork::step()
         auditor_->afterStep(*this);
 
     ++cycle_;
+}
+
+sim::RingQueue<PearlNetwork::Parked> &
+PearlNetwork::parkedQueue(int dst, sim::CoreType type, bool multi_flit)
+{
+    const std::size_t idx =
+        (static_cast<std::size_t>(dst) * sim::kNumCoreTypes +
+         static_cast<std::size_t>(type)) * 2 +
+        (multi_flit ? 1 : 0);
+    return parked_[idx];
+}
+
+void
+PearlNetwork::landOrPark(const Packet &pkt)
+{
+    // An arrival whose FIFO already holds parked packets queues behind
+    // them without trying the buffer, so each FIFO stays in arrival
+    // order.  The other size bucket is not consulted: a single-flit
+    // packet may pass a multi-flit one that does not fit.
+    const auto d = static_cast<std::size_t>(pkt.dst);
+    const bool multi_flit = pkt.numFlits() > 1;
+    if ((parkedAt_[d] == 0 ||
+         parkedQueue(pkt.dst, pkt.coreType(), multi_flit).empty()) &&
+        routers_[d]->rxEnqueue(pkt))
+        return;
+    // Most runs never park a packet, so the FIFOs are allocated at the
+    // first one.  They have no static bound (a saturated hub holds
+    // thousands): each starts at one slot and grows on demand.
+    if (parked_.empty()) {
+        parked_.assign(static_cast<std::size_t>(cfg_.numNodes()) *
+                           sim::kNumCoreTypes * 2,
+                       sim::RingQueue<Parked>(1));
+    }
+    auto &queue = parkedQueue(pkt.dst, pkt.coreType(), multi_flit);
+    if (queue.full())
+        queue.grow();
+    queue.push_back(Parked{pkt, parkSeq_++});
+    ++parkedAt_[d];
+    parkedPeak_ = std::max(parkedPeak_, ++parkedTotal_);
+}
+
+void
+PearlNetwork::wakeParked(int dst)
+{
+    auto &router = *routers_[static_cast<std::size_t>(dst)];
+    for (const auto type : {sim::CoreType::CPU, sim::CoreType::GPU}) {
+        auto &single = parkedQueue(dst, type, false);
+        auto &multi = parkedQueue(dst, type, true);
+        const sim::FlitBuffer &rx = router.rxBuffers().of(type);
+        // Repeatedly land the older of the two heads that fit.  Room
+        // only shrinks until stage 3 ejects, so a head that does not
+        // fit now stays parked for the rest of the cycle.
+        while (true) {
+            const bool single_fits =
+                !single.empty() &&
+                rx.canAccept(single.front().pkt.numFlits());
+            const bool multi_fits =
+                !multi.empty() &&
+                rx.canAccept(multi.front().pkt.numFlits());
+            if (!single_fits && !multi_fits)
+                break;
+            auto &from = single_fits &&
+                                 (!multi_fits || single.front().order <
+                                                     multi.front().order)
+                             ? single
+                             : multi;
+            const bool landed = router.rxEnqueue(from.front().pkt);
+            PEARL_ASSERT(landed);
+            from.pop_front();
+            --parkedAt_[static_cast<std::size_t>(dst)];
+            --parkedTotal_;
+        }
+    }
 }
 
 void
@@ -872,7 +949,7 @@ PearlNetwork::drainRetxQueue()
 bool
 PearlNetwork::idle() const
 {
-    if (!inFlight_.empty())
+    if (!inFlight_.empty() || parkedTotal_ > 0)
         return false;
     if (!retx_.empty())
         return false;
@@ -893,7 +970,8 @@ void
 PearlNetwork::describeState(std::ostream &os) const
 {
     os << "PearlNetwork @ cycle " << cycle_ << ": inFlight="
-       << inFlight_.size() << " pendingRetx=" << retx_.size()
+       << inFlight_.size() << " blocked=" << parkedTotal_
+       << " (peak " << parkedPeak_ << ") pendingRetx=" << retx_.size()
        << " dropped=" << stats_.droppedPackets() << "\n";
     if (cfg_.grouped()) {
         os << "  express groups:";
@@ -915,6 +993,8 @@ PearlNetwork::describeState(std::ostream &os) const
            << " slots | rx cpu/gpu "
            << rx.of(sim::CoreType::CPU).occupiedSlots() << "/"
            << rx.of(sim::CoreType::GPU).occupiedSlots() << " slots";
+        if (parkedAt_[r] > 0)
+            os << " | blocked arrivals " << parkedAt_[r];
         if (faults_.enabled()) {
             os << " | unacked "
                << outstanding_[r].size() << " failedBanks "
@@ -1002,10 +1082,7 @@ PearlNetwork::auditCounts() const
                       rx.of(sim::CoreType::GPU).packetCount();
     }
     c.inFlight = inFlight_.size();
-    for (const auto &f : inFlight_.items()) {
-        if (!f.faultChecked)
-            ++c.inFlightUnchecked;
-    }
+    c.blocked = parkedTotal_;
     c.retxQueued = retx_.size();
     for (const auto &src_outstanding : outstanding_)
         c.outstanding += src_outstanding.size();

@@ -6,7 +6,8 @@
  * multiple-reader data waveguide; there is no inter-router contention on
  * the transmit side beyond the source's own serialisation, and receives
  * land in per-class receive buffers drained at a finite ejection
- * bandwidth.  Reservation-window boundaries (staggered 10 cycles per
+ * bandwidth; an arrival that finds its buffer full is parked in a FIFO
+ * until the buffer has room.  Reservation-window boundaries (staggered 10 cycles per
  * router, Section IV-A) invoke the installed PowerPolicy per router and
  * hand the closing window's telemetry to an optional collector callback —
  * that is the hook the ML training pipeline uses.
@@ -31,6 +32,7 @@
 #include "common/log.hpp"
 #include "sim/min_heap.hpp"
 #include "sim/network.hpp"
+#include "sim/ring_queue.hpp"
 #include "sim/worker_pool.hpp"
 
 namespace pearl {
@@ -76,11 +78,12 @@ class StepAuditor
  * Packet-population counts for conservation checking.  Every packet the
  * network has accepted is, at a step boundary, in exactly one place:
  * delivered, dropped, buffered in a router, on a waveguide (inFlight),
- * waiting out a retransmit backoff (retxQueued) — or it exists only as
- * an un-ACKed source copy (a reservation-dropped or corrupted instance
- * whose timeout has not fired yet).  `outstanding` double-counts the
- * in-flight packets that have not had their fault check yet, which is
- * what `inFlightUnchecked` lets the checker subtract.
+ * parked at a full receive buffer (blocked), waiting out a retransmit
+ * backoff (retxQueued) — or it exists only as an un-ACKed source copy
+ * (a reservation-dropped or corrupted instance whose timeout has not
+ * fired yet).  With the fault plane on, `outstanding` double-counts the
+ * in-flight packets: their fault check and ACK happen as they leave
+ * the waveguide, so blocked packets are already acknowledged.
  */
 struct AuditCounts
 {
@@ -89,8 +92,8 @@ struct AuditCounts
     std::uint64_t delivered = 0;
     std::uint64_t dropped = 0;       //!< retry budget exhausted
     std::uint64_t buffered = 0;      //!< packets in inject + rx buffers
-    std::uint64_t inFlight = 0;
-    std::uint64_t inFlightUnchecked = 0; //!< BER draw still pending
+    std::uint64_t inFlight = 0;      //!< on a waveguide, not yet due
+    std::uint64_t blocked = 0;       //!< parked at a full rx buffer
     std::uint64_t retxQueued = 0;
     std::uint64_t outstanding = 0;   //!< un-ACKed source copies
 };
@@ -223,6 +226,17 @@ class PearlNetwork : public sim::Network
     /** Packets network-wide waiting in the retransmit backoff queue. */
     std::size_t pendingRetransmits() const { return retx_.size(); }
 
+    // Receive back-pressure -------------------------------------------
+    /** Arrivals parked at `node` because its rx class buffer was full. */
+    std::uint64_t
+    blockedAt(int node) const
+    {
+        return parkedAt_[static_cast<std::size_t>(node)];
+    }
+
+    /** Most arrivals parked at once, network-wide, over the run. */
+    std::uint64_t peakBlocked() const { return parkedPeak_; }
+
     // Introspection ---------------------------------------------------
     PearlRouter &router(int node) { return *routers_[node]; }
     const PearlRouter &router(int node) const { return *routers_[node]; }
@@ -252,13 +266,20 @@ class PearlNetwork : public sim::Network
     {
         sim::Cycle due;
         sim::Packet pkt;
-        bool faultChecked = false; //!< BER draw already taken (rx retry)
 
         bool
         operator>(const InFlight &o) const
         {
             return due > o.due;
         }
+    };
+
+    /** An arrival waiting for room in its rx class buffer.  `order` is
+     *  a network-wide parking sequence number: smaller is older. */
+    struct Parked
+    {
+        sim::Packet pkt;
+        std::uint64_t order = 0;
     };
 
     /** A transmitted packet the source keeps until it is ACKed. */
@@ -312,6 +333,19 @@ class PearlNetwork : public sim::Network
     void stepFaultPlane();
     void drainRetxQueue();
 
+    /** Parked FIFO of (destination, rx class, flit-size bucket): one
+     *  for single-flit packets, one for multi-flit packets. */
+    sim::RingQueue<Parked> &parkedQueue(int dst, sim::CoreType type,
+                                        bool multi_flit);
+
+    /** Land an arrival in its rx class buffer, or park it behind the
+     *  arrivals of its FIFO that are already waiting. */
+    void landOrPark(const sim::Packet &pkt);
+
+    /** Move parked packets of `dst` into its rx buffers, oldest first,
+     *  while they fit (stage 1, before the cycle's fresh arrivals). */
+    void wakeParked(int dst);
+
     /** Shared tail of stage 2 for one completed transmission from
      *  router `r`: sequence assignment, ACK tracking, the reservation
      *  drop draw and the in-flight push.  Called in ascending router
@@ -343,6 +377,14 @@ class PearlNetwork : public sim::Network
     std::vector<char> tracedLock_;
     std::vector<std::unique_ptr<PearlRouter>> routers_;
     sim::MinHeap<InFlight> inFlight_;
+    /** Arrivals that found their rx class buffer full, out of the heap
+     *  until the buffer has room: numNodes x 2 classes x 2 flit-size
+     *  buckets FIFOs (see parkedQueue), empty until the first park. */
+    std::vector<sim::RingQueue<Parked>> parked_;
+    std::vector<std::uint64_t> parkedAt_; //!< parked packets per dst
+    std::uint64_t parkedTotal_ = 0;
+    std::uint64_t parkedPeak_ = 0;
+    std::uint64_t parkSeq_ = 0;           //!< next Parked::order
     std::vector<sim::Packet> delivered_;
     std::vector<photonic::ThermalRingBank> thermal_; //!< optional
     photonic::FaultInjector faults_;
@@ -375,7 +417,6 @@ class PearlNetwork : public sim::Network
 
     // Per-step scratch, hoisted out of step()/drainRetxQueue() so the
     // steady-state cycle loop performs no heap allocation.
-    std::vector<InFlight> retryScratch_;
     std::vector<TxCompletion> doneScratch_;
     std::vector<int> bitsScratch_;
     std::vector<PendingRetx> blockedScratch_;

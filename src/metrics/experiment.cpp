@@ -282,6 +282,12 @@ runPearl(const traffic::BenchmarkPair &pair,
         for (int r = 0; r < net.numNodes(); ++r)
             net.telemetryOf(r).publishTo(*opts.registry,
                                          "router" + std::to_string(r));
+        // Receive back-pressure: arrivals still parked at full rx
+        // buffers when the run ends, and the most parked at once.
+        opts.registry->gauge("net.blocked_arrivals") =
+            static_cast<double>(net.auditCounts().blocked);
+        opts.registry->gauge("net.blocked_arrivals_peak") =
+            static_cast<double>(net.peakBlocked());
         opts.registry->gauge("power.laser_w") = m.laserPowerW;
         opts.registry->gauge("power.energy_per_bit_pj") =
             m.energyPerBitPj;

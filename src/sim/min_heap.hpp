@@ -63,10 +63,6 @@ class MinHeap
         heap_.pop_back();
     }
 
-    /** Read-only view of the backing store in heap (not sorted) order;
-     *  lets auditors scan pending events without draining the heap. */
-    const std::vector<T> &items() const { return heap_; }
-
   private:
     std::vector<T> heap_;
 };

@@ -89,6 +89,21 @@ class RingQueue
         --size_;
     }
 
+    /** Double the capacity, keeping the queued elements in order.  For
+     *  the FIFOs with no static bound (parked network arrivals): they
+     *  call it when full(), so storage follows the high-water mark and
+     *  the steady state stays allocation-free. */
+    void
+    grow()
+    {
+        std::vector<T> bigger(2 * capacity());
+        for (std::size_t i = 0; i < size_; ++i)
+            bigger[i] = std::move(storage_[(head_ + i) & mask_]);
+        storage_ = std::move(bigger);
+        mask_ = storage_.size() - 1;
+        head_ = 0;
+    }
+
     /** Drop everything; slots keep their storage (no reallocation). */
     void
     clear()

@@ -29,10 +29,14 @@ TrafficGen::cycleTraffic(Cycle now)
             Packet pkt;
             pkt.id = nextId_++;
             pkt.src = r;
-            int dst = rng_.range(0, numNodes_ - 2);
-            if (dst >= r)
-                ++dst;
-            pkt.dst = dst;
+            if (hubShare_ > 0.0 && r != hub_ && rng_.chance(hubShare_)) {
+                pkt.dst = hub_;
+            } else {
+                int dst = rng_.range(0, numNodes_ - 2);
+                if (dst >= r)
+                    ++dst;
+                pkt.dst = dst;
+            }
             const bool request = rng_.chance(0.5);
             if (c == 0) {
                 pkt.msgClass = request ? sim::MsgClass::ReqCpuL2Down
@@ -187,6 +191,8 @@ compareCycle(core::PearlNetwork &pearl, RefNetwork &ref)
         expectEq(d, (p + "wl cap").c_str(),
                  static_cast<int>(router.wlCap()),
                  static_cast<int>(ref.wlCap(r)));
+        expectEq(d, (p + "blocked arrivals").c_str(), pearl.blockedAt(r),
+                 ref.blockedAt(r));
         for (auto type : {CoreType::CPU, CoreType::GPU}) {
             const char *t = type == CoreType::CPU ? "cpu" : "gpu";
             expectEq(d, (p + t + " inject slots").c_str(),
@@ -265,7 +271,7 @@ runDiff(const DiffCase &c)
         pearl.setAuditor(&invariants);
 
     TrafficGen traffic(c.trafficSeed, c.cpuRate, c.gpuRate,
-                       c.cfg.numNodes());
+                       c.cfg.numNodes(), c.hubShare, c.cfg.l3Node);
 
     DiffResult out;
     for (std::uint64_t i = 0; i < c.cycles; ++i) {
@@ -307,6 +313,7 @@ runDiff(const DiffCase &c)
 
     out.injectedPackets = pearl.stats().injectedPackets();
     out.deliveredPackets = pearl.stats().deliveredPackets();
+    out.peakBlocked = pearl.peakBlocked();
     return out;
 }
 

@@ -36,15 +36,18 @@ namespace verify {
  * Deterministic open-loop traffic source shared by both simulators.
  * Each cycle every router flips a weighted coin per core type; accepted
  * flips become single packets to a uniformly random other node, split
- * evenly between 1-flit requests and 5-flit responses.
+ * evenly between 1-flit requests and 5-flit responses.  With a hub
+ * share, that fraction of the other nodes' packets goes to `hub`
+ * instead, the way memory traffic funnels into the memory controller;
+ * a zero share draws exactly the uniform pattern.
  */
 class TrafficGen
 {
   public:
     TrafficGen(std::uint64_t seed, double cpu_rate, double gpu_rate,
-               int num_nodes)
+               int num_nodes, double hub_share = 0.0, int hub = 0)
         : rng_(seed), cpuRate_(cpu_rate), gpuRate_(gpu_rate),
-          numNodes_(num_nodes)
+          numNodes_(num_nodes), hubShare_(hub_share), hub_(hub)
     {}
 
     /** Injection attempts for one cycle (may be empty). */
@@ -55,6 +58,8 @@ class TrafficGen
     double cpuRate_;
     double gpuRate_;
     int numNodes_;
+    double hubShare_;
+    int hub_;
     std::uint64_t nextId_ = 1;
 };
 
@@ -69,6 +74,9 @@ struct DiffCase
     std::uint64_t trafficSeed = 1;
     double cpuRate = 0.05;
     double gpuRate = 0.05;
+    /** Share of packets sent to the memory hub (cfg.l3Node); enough of
+     *  it saturates the hub's rx buffers and parks arrivals. */
+    double hubShare = 0.0;
     std::function<std::unique_ptr<core::PowerPolicy>()> makePolicy;
     /** Install the runtime invariant checker on the optimized side. */
     bool checkInvariants = true;
@@ -92,6 +100,10 @@ struct DiffResult
     std::string description;   //!< what differed, both values
     std::uint64_t injectedPackets = 0;
     std::uint64_t deliveredPackets = 0;
+    /** Most arrivals parked at full rx buffers at once (optimized side;
+     *  the comparison pins the reference to the same count per router
+     *  every cycle). */
+    std::uint64_t peakBlocked = 0;
     bool ok() const { return !diverged; }
 };
 

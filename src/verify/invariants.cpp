@@ -22,34 +22,37 @@ fail(sim::Cycle cycle, const std::string &what)
 std::optional<std::string>
 checkConservation(const core::AuditCounts &c, bool faults_enabled)
 {
-    // Every in-flight instance that has not had its fault check yet
-    // still owns an outstanding source copy; subtracting it leaves the
-    // copies whose instance is already gone — reservation drops waiting
-    // out their ACK timeout (corrupted arrivals are NACKed and requeued
-    // immediately, so they never sit in limbo).
+    // Every in-flight instance still owns an outstanding source copy
+    // (the fault check and ACK happen as it leaves the waveguide);
+    // subtracting it leaves the copies whose instance is already gone —
+    // reservation drops waiting out their ACK timeout (corrupted
+    // arrivals are NACKed and requeued immediately, so they never sit
+    // in limbo).
     std::uint64_t limbo = 0;
     if (faults_enabled) {
-        if (c.outstanding < c.inFlightUnchecked) {
+        if (c.outstanding < c.inFlight) {
             std::ostringstream os;
             os << "outstanding ACK copies (" << c.outstanding
-               << ") fewer than unchecked in-flight packets ("
-               << c.inFlightUnchecked << ")";
+               << ") fewer than in-flight packets (" << c.inFlight
+               << ")";
             return os.str();
         }
-        limbo = c.outstanding - c.inFlightUnchecked;
+        limbo = c.outstanding - c.inFlight;
     }
     // Each accepted packet is, at all times, in exactly one place.
     // Retransmissions do not enter the ledger: a reinjection creates a
     // new instance but consumes one queued loss, so the two sides of
     // that exchange cancel and the balance stays pinned to `injected`.
     const std::uint64_t accounted = c.delivered + c.dropped + c.buffered +
-                                    c.inFlight + c.retxQueued + limbo;
+                                    c.inFlight + c.blocked +
+                                    c.retxQueued + limbo;
     if (c.injected != accounted) {
         std::ostringstream os;
         os << "packet conservation: injected(" << c.injected
            << ") != delivered(" << c.delivered << ") + dropped("
            << c.dropped << ") + buffered(" << c.buffered
-           << ") + inFlight(" << c.inFlight << ") + retxQueued("
+           << ") + inFlight(" << c.inFlight << ") + blocked("
+           << c.blocked << ") + retxQueued("
            << c.retxQueued << ") + limbo(" << limbo
            << ") = " << accounted;
         return os.str();

@@ -8,9 +8,10 @@
  *
  *  - packet conservation: every accepted packet is in exactly one place
  *    — injected equals delivered + dropped + buffered + in-flight +
- *    backoff-queued + the un-ACKed source copies that no longer have a
- *    live in-flight instance (a reinjection creates one instance and
- *    consumes one queued loss, so retransmissions cancel out);
+ *    parked at a full rx buffer + backoff-queued + the un-ACKed source
+ *    copies that no longer have a live in-flight instance (a
+ *    reinjection creates one instance and consumes one queued loss, so
+ *    retransmissions cancel out);
  *  - buffer bounds: every inject/rx FlitBuffer's occupied slots stay
  *    within [0, capacity] and bound the packet count;
  *  - transmit-channel legality: credit only accumulates on an active

@@ -119,6 +119,42 @@ RefNetwork::pushPacket(std::deque<Packet> &buf, int cap,
 }
 
 bool
+RefNetwork::landArrival(RefRouter &dst, const Packet &pkt)
+{
+    const int type = static_cast<int>(pkt.coreType());
+    if (!pushPacket(dst.rx[type], dst.rxCap[type], pkt))
+        return false;
+    dst.telemetry.noteClass(pkt.msgClass);
+    ++dst.telemetry.incomingFromRouters;
+    if (pkt.request())
+        ++dst.telemetry.requestsReceived;
+    else
+        ++dst.telemetry.responsesReceived;
+    return true;
+}
+
+bool
+RefNetwork::landOldestParked(RefRouter &dst, int type)
+{
+    // Walk the list oldest first.  The first packet of each size bucket
+    // is that bucket's head; land the first head that fits.  Later
+    // packets of a bucket never pass its head.
+    std::deque<Packet> &parked = dst.parked[type];
+    bool bucket_seen[2] = {false, false};
+    for (auto it = parked.begin(); it != parked.end(); ++it) {
+        const int bucket = multiFlit(*it) ? 1 : 0;
+        if (bucket_seen[bucket])
+            continue;
+        bucket_seen[bucket] = true;
+        if (landArrival(dst, *it)) {
+            parked.erase(it);
+            return true;
+        }
+    }
+    return false;
+}
+
+bool
 RefNetwork::canInject(const Packet &pkt) const
 {
     const RefRouter &router = routers_[static_cast<std::size_t>(pkt.src)];
@@ -426,14 +462,19 @@ RefNetwork::step()
     if (faults_.enabled())
         stepFaultPlane();
 
-    // 1. Arrivals (full rx buffers retry next cycle, in pop order).
-    std::vector<InFlight> retries;
+    // 1. Arrivals.  First every router's parked packets, each class
+    //    list scanned oldest first; then the due arrivals in heap order.
+    for (auto &router : routers_) {
+        for (int type = 0; type < sim::kNumCoreTypes; ++type) {
+            while (landOldestParked(router, type)) {
+            }
+        }
+    }
     while (!inFlight_.empty() && inFlight_.top().due <= cycle_) {
         InFlight f = inFlight_.top();
         inFlight_.pop();
         RefRouter &dst = routers_[static_cast<std::size_t>(f.pkt.dst)];
-        if (faults_.enabled() && !f.faultChecked) {
-            f.faultChecked = true;
+        if (faults_.enabled()) {
             auto &src_outstanding =
                 outstanding_[static_cast<std::size_t>(f.pkt.src)];
             auto it = src_outstanding.find(f.pkt.seq);
@@ -453,21 +494,17 @@ RefNetwork::step()
             if (it != src_outstanding.end())
                 src_outstanding.erase(it);
         }
-        const int type = static_cast<int>(f.pkt.coreType());
-        if (pushPacket(dst.rx[type], dst.rxCap[type], f.pkt)) {
-            dst.telemetry.noteClass(f.pkt.msgClass);
-            ++dst.telemetry.incomingFromRouters;
-            if (f.pkt.request())
-                ++dst.telemetry.requestsReceived;
-            else
-                ++dst.telemetry.responsesReceived;
-        } else {
-            f.due = cycle_ + 1;
-            retries.push_back(std::move(f));
-        }
+        // An arrival never passes a parked packet of its own size
+        // bucket; otherwise it tries the buffer and parks if full.
+        std::deque<Packet> &parked =
+            dst.parked[static_cast<int>(f.pkt.coreType())];
+        const bool bucket_waiting = std::any_of(
+            parked.begin(), parked.end(), [&](const Packet &p) {
+                return multiFlit(p) == multiFlit(f.pkt);
+            });
+        if (bucket_waiting || !landArrival(dst, f.pkt))
+            parked.push_back(f.pkt);
     }
-    for (auto &f : retries)
-        inFlight_.push(std::move(f));
 
     // 1b. Group-local fault caps (mirrors the optimized stage 1b).
     if (cfg_.grouped() && faults_.enabled()) {
@@ -614,7 +651,8 @@ RefNetwork::idle() const
     }
     for (const auto &router : routers_) {
         for (int c = 0; c < sim::kNumCoreTypes; ++c) {
-            if (!router.inject[c].empty() || !router.rx[c].empty())
+            if (!router.inject[c].empty() || !router.rx[c].empty() ||
+                !router.parked[c].empty())
                 return false;
         }
     }
@@ -655,6 +693,13 @@ std::uint64_t
 RefNetwork::downSwitches(int node) const
 {
     return routers_[static_cast<std::size_t>(node)].laser.downSwitches;
+}
+
+std::uint64_t
+RefNetwork::blockedAt(int node) const
+{
+    const RefRouter &router = routers_[static_cast<std::size_t>(node)];
+    return router.parked[0].size() + router.parked[1].size();
 }
 
 int

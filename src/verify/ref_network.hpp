@@ -4,9 +4,11 @@
  *
  * RefNetwork re-implements PearlNetwork's externally visible semantics
  * — packet movement, DBA splits, R-SWMR reservation arbitration,
- * wavelength-state selection, fault recovery and energy integration —
- * with the simplest possible code: std::deque buffers with O(n)
- * occupancy recomputation, std::priority_queue event channels, per-call
+ * receive back-pressure, wavelength-state selection, fault recovery and
+ * energy integration — with the simplest possible code: std::deque
+ * buffers with O(n) occupancy recomputation, one arrival-ordered list of
+ * parked packets per rx buffer scanned from the front every cycle,
+ * std::priority_queue event channels, per-call
  * modulo window checks, fresh power-model calls per cycle, and no idle
  * fast-forward (advanceIdle keeps the interface default of 0).  It
  * shares only leaf components with the optimized simulator: the
@@ -71,6 +73,8 @@ class RefNetwork : public sim::Network
     std::uint64_t upSwitches(int node) const;
     std::uint64_t downSwitches(int node) const;
     int bufferSlots(int node, bool rx, sim::CoreType type) const;
+    /** Arrivals parked at `node` behind a full rx class buffer. */
+    std::uint64_t blockedAt(int node) const;
     sim::RouterTelemetry &telemetryOf(int node);
 
     double laserEnergyJ() const;
@@ -121,6 +125,8 @@ class RefNetwork : public sim::Network
         int waveguides = 1;
         std::deque<sim::Packet> inject[sim::kNumCoreTypes];
         std::deque<sim::Packet> rx[sim::kNumCoreTypes];
+        /** Arrivals that found rx[class] full, in arrival order. */
+        std::deque<sim::Packet> parked[sim::kNumCoreTypes];
         int injectCap[sim::kNumCoreTypes] = {0, 0};
         int rxCap[sim::kNumCoreTypes] = {0, 0};
         RefTxChannel tx[sim::kNumCoreTypes];
@@ -137,7 +143,6 @@ class RefNetwork : public sim::Network
     {
         sim::Cycle due;
         sim::Packet pkt;
-        bool faultChecked = false;
         bool operator>(const InFlight &o) const { return due > o.due; }
     };
 
@@ -179,6 +184,17 @@ class RefNetwork : public sim::Network
     static double occupancy(const std::deque<sim::Packet> &buf, int cap);
     static bool pushPacket(std::deque<sim::Packet> &buf, int cap,
                            const sim::Packet &pkt);
+    /** Size bucket of the parked-arrival order: a packet never passes
+     *  an older parked packet of its own bucket. */
+    static bool multiFlit(const sim::Packet &pkt)
+    {
+        return pkt.numFlits() > 1;
+    }
+
+    /** Push into dst's rx class buffer with the receive telemetry. */
+    bool landArrival(RefRouter &dst, const sim::Packet &pkt);
+    /** Land the oldest parked bucket head of `type` that fits. */
+    bool landOldestParked(RefRouter &dst, int type);
 
     core::Allocation allocate(const RefRouter &router) const;
     int transmitClass(RefRouter &router, sim::CoreType type, double share,

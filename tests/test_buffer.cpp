@@ -233,6 +233,31 @@ TEST(RingQueue, MatchesDequeUnderRandomTraffic)
     }
 }
 
+TEST(RingQueue, GrowKeepsOrderAcrossTheWrap)
+{
+    // Growing a wrapped ring must unroll it: the parked-arrival FIFOs
+    // grow while their head sits mid-ring.
+    RingQueue<int> q(4);
+    for (int i = 0; i < 4; ++i)
+        q.push_back(i);
+    q.pop_front();
+    q.pop_front();
+    q.push_back(4);
+    q.push_back(5); // full, head_ at slot 2
+    ASSERT_TRUE(q.full());
+    q.grow();
+    EXPECT_EQ(q.capacity(), 8u);
+    EXPECT_EQ(q.size(), 4u);
+    for (int i = 6; i < 10; ++i)
+        q.push_back(i);
+    EXPECT_TRUE(q.full());
+    for (int i = 2; i < 10; ++i) {
+        EXPECT_EQ(q.front(), i);
+        q.pop_front();
+    }
+    EXPECT_TRUE(q.empty());
+}
+
 TEST(FlitBuffer, OccupancyMatchesDequeModelUnderRandomTraffic)
 {
     // Differential model: the flit accounting must equal the sum of

@@ -181,6 +181,20 @@ TEST(Env, EnvU64FallsBackOnGarbage)
     EXPECT_EQ(envU64("PEARL_TEST_ENV_U64", 1234u), 1234u);
 }
 
+TEST(Env, CommandLineArgumentsParseStrictly)
+{
+    EXPECT_EQ(argU64("60000", "cycles"), 60000u);
+    EXPECT_DOUBLE_EQ(argDouble("0.5", "scale"), 0.5);
+    // The example CLIs once read these through std::atoll/atof, which
+    // turned a typo into a silent zero-cycle run.
+    EXPECT_EXIT(argU64("6e4", "cycles"), ::testing::ExitedWithCode(1),
+                "fatal: cycles must be a non-negative integer, got \"6e4\"");
+    EXPECT_EXIT(argU64("abc", "cycles"), ::testing::ExitedWithCode(1),
+                "cycles must be");
+    EXPECT_EXIT(argDouble("x", "scale"), ::testing::ExitedWithCode(1),
+                "fatal: scale must be a number");
+}
+
 TEST(Env, ParseDoubleAcceptsNumbers)
 {
     double v = 0.0;

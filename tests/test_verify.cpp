@@ -199,6 +199,60 @@ TEST(RefDiff, SingleGroupChipRunsUngrouped)
     EXPECT_TRUE(r.ok()) << "cycle " << r.cycle << ": " << r.description;
 }
 
+/** A third of every node's packets aimed at the memory hub: its rx
+ *  buffers fill and arrivals park behind them. */
+DiffCase
+saturatedHubCase(const core::PearlConfig &cfg)
+{
+    DiffCase d = smallCase(cfg);
+    d.cycles = 1500;
+    d.cpuRate = 0.05;
+    d.gpuRate = 0.05;
+    d.hubShare = 0.3;
+    return d;
+}
+
+TEST(RefDiff, SaturatedHubParksArrivalsOnGrouped64ClusterChip)
+{
+    // The regime the parked FIFOs exist for: a grouped chip derived
+    // from the topology (four waveguide groups of 16) whose hub cannot
+    // eject as fast as the fabric delivers.  Both models must park and
+    // wake the same packets in the same order, router by router, every
+    // cycle.
+    core::TopologySpec topo;
+    topo.clusters = 64;
+    const core::PearlConfig cfg = topo.pearlConfig();
+    ASSERT_TRUE(cfg.grouped());
+    const DiffResult r = runDiff(saturatedHubCase(cfg));
+    EXPECT_TRUE(r.ok()) << "cycle " << r.cycle << ": " << r.description;
+    EXPECT_GT(r.peakBlocked, 0u) << "the hub never saturated";
+    EXPECT_GT(r.deliveredPackets, 0u);
+}
+
+TEST(RefDiff, SaturatedHubParksArrivalsUnderFaultPlane)
+{
+    // Parked packets were fault-checked and ACKed on arrival; corrupted
+    // and reservation-dropped ones never park.  Retransmissions then
+    // join the same FIFOs as first attempts.
+    core::PearlConfig cfg = groupedConfig();
+    cfg.faults.enabled = true;
+    cfg.faults.seed = 0xFA33;
+    cfg.faults.baseBer = 1e-3;
+    cfg.faults.reservationDropRate = 0.01;
+    cfg.ackTimeoutCycles = 12;
+    cfg.retryLimit = 3;
+    cfg.retxBackoffBase = 4;
+    cfg.retxBackoffMax = 32;
+    ASSERT_TRUE(core::validate(cfg));
+    DiffCase d = saturatedHubCase(cfg);
+    d.cpuRate = 0.25;
+    d.gpuRate = 0.25;
+    d.hubShare = 0.6;
+    const DiffResult r = runDiff(d);
+    EXPECT_TRUE(r.ok()) << "cycle " << r.cycle << ": " << r.description;
+    EXPECT_GT(r.peakBlocked, 0u) << "the hub never saturated";
+}
+
 TEST(RefDiff, DetectsSeededDivergence)
 {
     // Self-test of the comparator: run the optimized side with one more
@@ -481,6 +535,74 @@ TEST(Invariants, ScaleOut64ClusterSmoke)
     EXPECT_GT(m.throughputFlitsPerCycle, 0.0);
 }
 
+/** Records the largest blocked-arrival population any step left. */
+class BlockedProbe : public core::StepAuditor
+{
+  public:
+    void
+    afterStep(const core::PearlNetwork &net) override
+    {
+        const core::AuditCounts c = net.auditCounts();
+        std::uint64_t per_node = 0;
+        for (int r = 0; r < net.numNodes(); ++r)
+            per_node += net.blockedAt(r);
+        EXPECT_EQ(per_node, c.blocked);
+        peak = std::max(peak, c.blocked);
+    }
+
+    std::uint64_t peak = 0;
+};
+
+TEST(Invariants, BlockedArrivalsReportedOnlyWhenTheHubSaturates)
+{
+    // Observability of receive back-pressure: the 128-cluster chip's
+    // hub saturates within a few thousand cycles and the pile-up shows
+    // in the audit counts, the per-step peak, describeState and the
+    // metrics registry; the paper-sized chip under a golden config
+    // never blocks an arrival.
+    traffic::BenchmarkSuite suite;
+    {
+        core::TopologySpec topo;
+        topo.clusters = 128;
+        const core::PearlConfig cfg = topo.pearlConfig();
+        const photonic::PowerModel power;
+        core::StaticPolicy policy(photonic::WlState::WL64);
+        core::PearlNetwork net(cfg, power, core::DbaConfig{}, &policy);
+        BlockedProbe probe;
+        net.setAuditor(&probe);
+        traffic::BenchmarkPair pair{suite.find("FA"), suite.find("DCT")};
+        core::HeteroSystem system(
+            net, pair, core::makeSystemConfig(topo),
+            [&net](int n) { return &net.telemetryOf(n); });
+        system.run(3000);
+        EXPECT_GT(probe.peak, 0u);
+        EXPECT_EQ(net.peakBlocked(), probe.peak);
+        EXPECT_GT(net.blockedAt(cfg.l3Node), 0u);
+        std::ostringstream dump;
+        net.describeState(dump);
+        EXPECT_NE(dump.str().find("blocked arrivals"), std::string::npos);
+        EXPECT_EQ(dump.str().find("blocked=0 "), std::string::npos);
+    }
+    {
+        // The golden grid's reactive config on Rad/QRS.
+        metrics::RunSpec spec;
+        spec.configName = "reactive";
+        spec.pair = {suite.find("Rad"), suite.find("QRS")};
+        spec.options.warmupCycles = 400;
+        spec.options.measureCycles = 2500;
+        spec.pearl.reservationWindow = 500;
+        spec.makePolicy = [] {
+            return std::make_unique<core::ReactivePolicy>();
+        };
+        obs::MetricsRegistry reg;
+        spec.options.registry = &reg;
+        const metrics::RunMetrics m = metrics::executeSpec(spec, 1);
+        EXPECT_GT(m.deliveredPackets, 0u);
+        EXPECT_EQ(reg.gauges().at("net.blocked_arrivals_peak"), 0.0);
+        EXPECT_EQ(reg.gauges().at("net.blocked_arrivals"), 0.0);
+    }
+}
+
 TEST(Invariants, ConservationHoldsOnBalancedCounts)
 {
     core::AuditCounts c;
@@ -490,18 +612,35 @@ TEST(Invariants, ConservationHoldsOnBalancedCounts)
     c.inFlight = 3;
     EXPECT_FALSE(checkConservation(c, false).has_value());
 
-    // Fault plane: 2 of the 3 in-flight packets still await their fault
-    // check (their source copies are among the 3 outstanding); the third
-    // source copy is a reservation-dropped packet in limbo awaiting its
-    // ACK timeout.  The retransmission count never enters the balance:
-    // each reinjection consumed one queued loss.
+    // Fault plane: 2 packets are in flight and still await their fault
+    // check (their source copies are among the 3 outstanding); a third
+    // arrival was checked, ACKed and parked at a full rx buffer; the
+    // third source copy is a reservation-dropped packet in limbo
+    // awaiting its ACK timeout.  The retransmission count never enters
+    // the balance: each reinjection consumed one queued loss.
     c.retransmitted = 2;
-    c.inFlightUnchecked = 2;
+    c.inFlight = 2;
+    c.blocked = 1;
     c.outstanding = 3;
     c.dropped = 1;
     c.buffered = 2;
     c.delivered = 3;
     EXPECT_FALSE(checkConservation(c, true).has_value());
+}
+
+TEST(Invariants, ConservationCountsBlockedArrivals)
+{
+    core::AuditCounts c;
+    c.injected = 10;
+    c.delivered = 4;
+    c.buffered = 3;
+    c.inFlight = 1;
+    c.blocked = 2;
+    EXPECT_FALSE(checkConservation(c, false).has_value());
+    c.blocked = 0; // parked packets lost from the ledger
+    const auto violation = checkConservation(c, false);
+    ASSERT_TRUE(violation.has_value());
+    EXPECT_NE(violation->find("blocked(0)"), std::string::npos);
 }
 
 TEST(Invariants, ConservationCatchesUndercountedDelivery)
@@ -522,8 +661,7 @@ TEST(Invariants, ConservationCatchesOutstandingUnderflow)
     core::AuditCounts c;
     c.injected = 1;
     c.inFlight = 1;
-    c.inFlightUnchecked = 1;
-    c.outstanding = 0; // fewer source copies than unchecked instances
+    c.outstanding = 0; // fewer source copies than in-flight instances
     EXPECT_TRUE(checkConservation(c, true).has_value());
 }
 
