@@ -26,10 +26,10 @@
  * 16-cluster chip.
  *
  * Knobs: PEARL_BENCH_CYCLES (60000), PEARL_BENCH_WARMUP (10000),
- * PEARL_BENCH_JSON (BENCH_scaling.json), PEARL_THREADS (worker
- * lanes for the deterministic parallel stepper; simulation output is
- * bit-identical at any value), plus the Runner's observability knobs
- * (PEARL_TRACE, PEARL_METRICS_DUMP, PEARL_VERIFY).
+ * PEARL_BENCH_JSON (BENCH_scaling.json), plus the Runner's
+ * observability knobs (PEARL_TRACE, PEARL_METRICS_DUMP, PEARL_VERIFY).
+ * Each topology is one run, so PEARL_THREADS (sweep job workers) does
+ * not apply.
  */
 
 #include <cstdlib>
@@ -156,8 +156,7 @@ run()
         return std::string(p ? p : "BENCH_scaling.json");
     }();
 
-    // One spec per cluster count, all derived from a TopologySpec —
-    // the grid runs through the parallel sweep engine.
+    // One spec per cluster count, all derived from a TopologySpec.
     std::vector<core::TopologySpec> topos;
     std::vector<metrics::RunSpec> specs;
     for (int clusters : kClusterCounts) {
@@ -178,9 +177,8 @@ run()
         specs.push_back(std::move(spec));
     }
 
-    // Each spec runs serially on the calling thread so the CPU-time
-    // delta around it is that topology's own host cost (the stepper's
-    // worker lanes are included — getrusage covers all threads).
+    // Each spec runs on the calling thread so the CPU-time delta
+    // around it is that topology's own host cost.
     metrics::Runner runner;
     TextTable t({"clusters", "groups", "thru (flits/cyc)",
                  "thru/cluster", "vs 16", "avg lat", "cpu lat",

@@ -38,7 +38,9 @@ namespace {
  * PR with this bench's exact workload and clocking (warmup 2000 +
  * measure 60000 cycles, best of 3 reps, CPU-time clock, the then-default
  * RelWithDebInfo build).  Kept as data, not prose, so the speedup the
- * JSON reports is reproducible arithmetic.
+ * JSON reports is reproducible arithmetic.  Its host was not recorded:
+ * the JSON's `host` block names the machine of `results` only, so
+ * speedup_vs_baseline also carries any host difference.
  */
 struct Baseline
 {
@@ -80,6 +82,7 @@ writeJson(const std::string &path, const std::vector<HotpathResult> &runs,
         fatal("cannot write ", path);
     out << "{\n"
         << "  \"bench\": \"hotpath\",\n"
+        << "  \"host\": " << hostJson() << ",\n"
         << "  \"clock\": \"process_cpu_time\",\n"
         << "  \"pair\": \"Rad/QRS\",\n"
         << "  \"reservation_window\": 500,\n"
@@ -123,8 +126,8 @@ validateJson(const std::string &path)
     buf << in.rdbuf();
     const std::string text = buf.str();
     for (const char *key :
-         {"\"bench\": \"hotpath\"", "\"baseline\"", "\"results\"",
-          "\"cycles_per_sec\"", "\"ns_per_packet\""}) {
+         {"\"bench\": \"hotpath\"", "\"host\"", "\"baseline\"",
+          "\"results\"", "\"cycles_per_sec\"", "\"ns_per_packet\""}) {
         if (text.find(key) == std::string::npos)
             fatal(path, ": missing key ", key);
     }

@@ -57,9 +57,9 @@ run_flavour() {
     }
 
     if [ "$flavour" = verify ]; then
-        # PEARL_THREADS=4 drives the whole differential suite —
-        # including the 128-cluster invariant-clean smoke — through the
-        # shared-engine parallel step path, audited under ASan.
+        # PEARL_THREADS=4 runs every sweep of the suite on 4 job
+        # workers, so the invariant auditor also checks jobs stepping
+        # concurrently, under ASan.
         echo "==> [verify] ctest -L verify (invariants on, fuzz smoke," \
              "PEARL_THREADS=4)"
         PEARL_VERIFY=1 \
@@ -68,9 +68,10 @@ run_flavour() {
         PEARL_FUZZ_SECONDS="${PEARL_FUZZ_SECONDS:-30}" \
             ctest --test-dir "$dir" -L verify --output-on-failure
     elif [ "$flavour" = tsan ]; then
-        # A shared engine budget forces worker lanes on, so
-        # ThreadSanitizer race-checks the execution engine — nested
-        # sweep x step leasing included — across the whole suite.
+        # PEARL_THREADS=8 runs every sweep that sizes its pool from
+        # the environment on 8 job workers, so ThreadSanitizer
+        # race-checks the sweep engine (result slots, journal, per-job
+        # tracers) across the whole suite.
         echo "==> [tsan] ctest -L tier1 (PEARL_THREADS=8)"
         PEARL_THREADS=8 \
             ctest --test-dir "$dir" -L tier1 --output-on-failure

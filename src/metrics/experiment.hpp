@@ -24,10 +24,6 @@
 
 namespace pearl {
 
-namespace sim {
-class WorkerPool;
-} // namespace sim
-
 namespace metrics {
 
 /** Wall-clock split of one run, by phase (observability plane). */
@@ -96,26 +92,6 @@ struct RunOptions
     sim::Cycle measureCycles = 30000;
     std::uint64_t seed = 1;
     core::SystemConfig system;
-
-    /**
-     * Worker lanes for deterministic intra-run parallel stepping
-     * (PEARL and CMESH fabrics; results are bit-identical at any
-     * count).  0 — the default — resolves the shared PEARL_THREADS
-     * budget (then the deprecated PEARL_STEP_THREADS, then 1, the
-     * exact serial path); a nonzero value overrides the environment,
-     * which is how the parallel-step tests pin both sides of a
-     * comparison.  See sim::resolveThreadBudget().
-     */
-    unsigned stepThreads = 0;
-
-    /**
-     * Pre-leased worker pool (non-owning).  When set, the run steps
-     * on exactly this pool and `stepThreads` is ignored — this is how
-     * SweepRunner hands each job its slice of the shared budget.
-     * Null — the default — makes the run lease its own pool from
-     * sim::ExecutionEngine using `stepThreads`.
-     */
-    sim::WorkerPool *pool = nullptr;
 
     // Observability-plane sinks (all optional, non-owning; null — the
     // default — keeps the run bit-identical to an uninstrumented one).

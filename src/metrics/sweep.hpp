@@ -15,17 +15,11 @@
  *  - per-run state (network, system, policy) is constructed inside the
  *    worker, so jobs share nothing mutable.
  *
- * Thread budget: an explicit `SweepOptions::threads` wins, else the
- * shared `PEARL_THREADS` budget, else the deprecated
- * `PEARL_SWEEP_THREADS`, else `hardware_concurrency()` (see
- * `sim::resolveThreadBudget`); `1` forces the serial path (no worker
- * threads are spawned at all).  Under the shared budget the runner
- * leases hierarchically from `sim::ExecutionEngine`: C threads over N
- * jobs become W = min(C, N) job workers stepping floor(C / W) lanes
- * each, with every lane pool leased on the calling thread in
- * submission order — the lease plan is a function of the grid shape,
- * never of timing, so sweep results stay byte-identical to serial at
- * any core count.
+ * Job workers: an explicit `SweepOptions::threads` wins, else
+ * `PEARL_THREADS` (clamped to 256), else `hardware_concurrency()`; `1`
+ * forces the serial path (no worker threads are spawned at all).  Each
+ * job runs the serial cycle loop on its worker, so the worker count
+ * only moves wall time, never results.
  *
  * Fault tolerance (DESIGN.md "Resilience"):
  *
@@ -111,9 +105,8 @@ struct RunSpec
 /** Sweep-wide knobs. */
 struct SweepOptions
 {
-    /** Worker threads.  Nonzero pins the count; 0 — the default —
-     *  resolves the shared PEARL_THREADS budget, then the deprecated
-     *  PEARL_SWEEP_THREADS, then hardware_concurrency(). */
+    /** Job worker threads.  Nonzero pins the count; 0 — the default —
+     *  resolves PEARL_THREADS, then hardware_concurrency(). */
     unsigned threads = 0;
     /** Base of the per-job seed derivation. */
     std::uint64_t baseSeed = 100;
@@ -152,7 +145,7 @@ struct SweepOptions
      * Defaults + the PEARL_SWEEP_RETRY / PEARL_SWEEP_JOURNAL /
      * PEARL_SWEEP_RESUME / PEARL_TRACE* environment knobs (strict
      * warn-and-fallback parsing).  Thread count is resolved separately
-     * (resolveThreads), preserving existing precedence.
+     * (resolveThreads).
      */
     static SweepOptions fromEnv();
 };
@@ -253,13 +246,8 @@ class SweepRunner
     /** Run all jobs; results come back in submission order. */
     SweepResult run(const std::vector<RunSpec> &jobs) const;
 
-    /**
-     * Effective job-worker budget: `requested` if nonzero, else the
-     * shared PEARL_THREADS budget, else the deprecated
-     * PEARL_SWEEP_THREADS (warns once), else hardware_concurrency().
-     * One precedence rule for every tier — see
-     * sim::resolveThreadBudget().
-     */
+    /** Effective job-worker count: `requested` if nonzero, else
+     *  PEARL_THREADS, else hardware_concurrency(); clamped to 256. */
     static unsigned resolveThreads(unsigned requested);
 
     const SweepOptions &options() const { return opts_; }

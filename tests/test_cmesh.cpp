@@ -125,6 +125,9 @@ TEST(Cmesh, RandomTrafficDrains)
         if (net.inject(p))
             ++injected;
         net.step();
+        // Flit conservation: every flit the fabric counts sits in an
+        // input FIFO or a link register.
+        ASSERT_EQ(net.flitsInFlight(), net.countBufferedFlits());
     }
     for (int i = 0; i < 3000 && !net.idle(); ++i)
         net.step();

@@ -346,9 +346,7 @@ TEST(GoldenMetrics, Scale32GroupedRowsMatchCheckedInResults)
 
 /** The electrical-baseline row: the default 4x4 CMESH driven through
  *  the same sweep machinery.  This is the reference fabric of every
- *  paper figure, and since PR 10 it shares the parallel stepper, so
- *  its goldens also anchor the parallel-vs-serial identity tests in
- *  test_parstep. */
+ *  paper figure. */
 GoldenConfig
 cmeshConfig(const traffic::BenchmarkSuite &suite)
 {

@@ -2,13 +2,12 @@
  * @file
  * Tests of the parallel sweep engine: bit-identical determinism across
  * thread counts, submission-order preservation, seed derivation, error
- * propagation/cancellation and the thread-budget precedence (explicit
- * request > PEARL_THREADS > deprecated PEARL_SWEEP_THREADS > hardware).
+ * propagation/cancellation and the job-worker precedence (explicit
+ * request > PEARL_THREADS > hardware).
  */
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdio>
@@ -19,6 +18,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -29,37 +29,31 @@ namespace pearl {
 namespace metrics {
 namespace {
 
-/** Clears every thread-budget knob for the test and restores them
- *  after, so precedence assertions are immune to the caller's
- *  environment (check.sh flavours export PEARL_THREADS). */
+/** Clears PEARL_THREADS for the test and restores it after, so
+ *  precedence assertions are immune to the caller's environment
+ *  (check.sh flavours export PEARL_THREADS). */
 class SweepTest : public ::testing::Test
 {
   protected:
     void
     SetUp() override
     {
-        for (std::size_t i = 0; i < kKnobs.size(); ++i) {
-            if (const char *v = std::getenv(kKnobs[i]))
-                saved_[i] = v;
-            unsetenv(kKnobs[i]);
-        }
+        if (const char *v = std::getenv("PEARL_THREADS"))
+            saved_ = v;
+        unsetenv("PEARL_THREADS");
     }
 
     void
     TearDown() override
     {
-        for (std::size_t i = 0; i < kKnobs.size(); ++i) {
-            if (saved_[i])
-                setenv(kKnobs[i], saved_[i]->c_str(), 1);
-            else
-                unsetenv(kKnobs[i]);
-        }
+        if (saved_)
+            setenv("PEARL_THREADS", saved_->c_str(), 1);
+        else
+            unsetenv("PEARL_THREADS");
     }
 
   private:
-    static constexpr std::array<const char *, 3> kKnobs = {
-        "PEARL_THREADS", "PEARL_SWEEP_THREADS", "PEARL_STEP_THREADS"};
-    std::array<std::optional<std::string>, 3> saved_;
+    std::optional<std::string> saved_;
 };
 
 #define EXPECT_SAME_BITS(a, b, what)                                    \
@@ -339,44 +333,47 @@ TEST_F(SweepTest, EnvForcesSerialAndMatchesSerialRun)
     const SweepResult serial = runWithThreads(jobs, 1);
     ASSERT_TRUE(serial.allOk());
 
-    // An explicit request now beats the env knobs, so force serial via
-    // the environment with the request left at "resolve for me" (0).
-    setenv("PEARL_SWEEP_THREADS", "1", 1);
-    const SweepResult forced = runWithThreads(jobs, 0);
-    ASSERT_TRUE(forced.allOk());
-    EXPECT_EQ(forced.summary.threads, 1u);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        SCOPED_TRACE("job " + std::to_string(i));
-        expectBitIdentical(forced.jobs[i].metrics,
-                           serial.jobs[i].metrics);
+    // An explicit request beats the environment, so size the pool via
+    // PEARL_THREADS with the request left at "resolve for me" (0).  A
+    // budget above the job count spawns one worker per job.
+    for (const auto &[env, workers] :
+         {std::pair<const char *, unsigned>{"1", 1u}, {"16", 8u}}) {
+        setenv("PEARL_THREADS", env, 1);
+        const SweepResult forced = runWithThreads(jobs, 0);
+        ASSERT_TRUE(forced.allOk());
+        EXPECT_EQ(forced.summary.threads, workers);
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            SCOPED_TRACE("job " + std::to_string(i) +
+                         " at PEARL_THREADS=" + env);
+            expectBitIdentical(forced.jobs[i].metrics,
+                               serial.jobs[i].metrics);
+        }
     }
 }
 
 TEST_F(SweepTest, ResolveThreadsPrecedence)
 {
-    // Fixture cleared all three knobs: explicit request wins, and an
+    // Fixture cleared PEARL_THREADS: explicit request wins, and an
     // unconstrained request falls back to the hardware count (>= 1).
     EXPECT_EQ(SweepRunner::resolveThreads(4), 4u);
     EXPECT_GE(SweepRunner::resolveThreads(0), 1u);
 
-    // An explicit nonzero request beats every env knob.
+    // An explicit nonzero request beats the environment...
     setenv("PEARL_THREADS", "3", 1);
-    setenv("PEARL_SWEEP_THREADS", "5", 1);
     EXPECT_EQ(SweepRunner::resolveThreads(4), 4u);
 
-    // PEARL_THREADS beats the deprecated sweep knob...
+    // ...which beats the hardware count, up to the 256 ceiling.
     EXPECT_EQ(SweepRunner::resolveThreads(0), 3u);
+    setenv("PEARL_THREADS", "100000", 1);
+    EXPECT_EQ(SweepRunner::resolveThreads(0), 256u);
+    EXPECT_EQ(SweepRunner::resolveThreads(100000), 256u);
 
-    // ...which only applies while PEARL_THREADS is unset.
-    unsetenv("PEARL_THREADS");
-    EXPECT_EQ(SweepRunner::resolveThreads(0), 5u);
-
-    // Legacy zero means "unset" and garbage is ignored with a warning;
-    // both fall through to the hardware fallback / explicit request.
-    setenv("PEARL_SWEEP_THREADS", "0", 1);
+    // Zero means "unset" and garbage is ignored with a warning; both
+    // fall through to the hardware fallback / explicit request.
+    setenv("PEARL_THREADS", "0", 1);
     EXPECT_GE(SweepRunner::resolveThreads(0), 1u);
     EXPECT_EQ(SweepRunner::resolveThreads(4), 4u);
-    setenv("PEARL_SWEEP_THREADS", "abc", 1);
+    setenv("PEARL_THREADS", "abc", 1);
     EXPECT_GE(SweepRunner::resolveThreads(0), 1u);
     EXPECT_EQ(SweepRunner::resolveThreads(4), 4u);
 }

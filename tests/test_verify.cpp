@@ -487,16 +487,6 @@ TEST(Invariants, MaxScaleChipRunsInvariantClean)
         net, pair, core::makeSystemConfig(topo),
         [&net](int n) { return &net.telemetryOf(n); });
 
-    // The CI verify job exports PEARL_THREADS=4 so this max-scale
-    // audit also covers the sharded step path under ASan; the default
-    // (1) keeps it serial.
-    std::unique_ptr<sim::WorkerPool> pool;
-    const unsigned lanes = sim::resolveStepThreads(0);
-    if (lanes > 1) {
-        pool = std::make_unique<sim::WorkerPool>(lanes);
-        net.setWorkerPool(pool.get());
-        system.setWorkerPool(pool.get());
-    }
     ASSERT_NO_THROW(system.run(3000));
 
     EXPECT_EQ(inv.stepsAudited(), 3000u);
