@@ -333,21 +333,38 @@ TEST_F(SweepTest, EnvForcesSerialAndMatchesSerialRun)
     const SweepResult serial = runWithThreads(jobs, 1);
     ASSERT_TRUE(serial.allOk());
 
-    // An explicit request beats the environment, so size the pool via
-    // PEARL_THREADS with the request left at "resolve for me" (0).  A
-    // budget above the job count spawns one worker per job.
-    for (const auto &[env, workers] :
-         {std::pair<const char *, unsigned>{"1", 1u}, {"16", 8u}}) {
-        setenv("PEARL_THREADS", env, 1);
-        const SweepResult forced = runWithThreads(jobs, 0);
-        ASSERT_TRUE(forced.allOk());
-        EXPECT_EQ(forced.summary.threads, workers);
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            SCOPED_TRACE("job " + std::to_string(i) +
-                         " at PEARL_THREADS=" + env);
-            expectBitIdentical(forced.jobs[i].metrics,
-                               serial.jobs[i].metrics);
-        }
+    // An explicit request beats the environment, so force serial via
+    // PEARL_THREADS with the request left at "resolve for me" (0).
+    setenv("PEARL_THREADS", "1", 1);
+    const SweepResult forced = runWithThreads(jobs, 0);
+    ASSERT_TRUE(forced.allOk());
+    EXPECT_EQ(forced.summary.threads, 1u);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        SCOPED_TRACE("job " + std::to_string(i));
+        expectBitIdentical(forced.jobs[i].metrics,
+                           serial.jobs[i].metrics);
+    }
+}
+
+TEST_F(SweepTest, EnvPoolAboveJobCountMatchesSerialSweep)
+{
+    traffic::BenchmarkSuite suite;
+    const auto jobs = determinismJobs(suite);
+
+    const SweepResult serial = runWithThreads(jobs, 1);
+    ASSERT_TRUE(serial.allOk());
+
+    // PEARL_THREADS=16 over the 8-job grid: a budget above the job
+    // count spawns one worker per job, and every job must match the
+    // serial sweep bit for bit.
+    setenv("PEARL_THREADS", "16", 1);
+    const SweepResult pooled = runWithThreads(jobs, 0);
+    ASSERT_TRUE(pooled.allOk());
+    EXPECT_EQ(pooled.summary.threads, 8u);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        SCOPED_TRACE("job " + std::to_string(i));
+        expectBitIdentical(pooled.jobs[i].metrics,
+                           serial.jobs[i].metrics);
     }
 }
 
