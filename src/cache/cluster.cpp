@@ -184,6 +184,13 @@ ClusterNode::sendNetwork(MsgClass cls, CoherenceOp op, std::uint64_t addr,
 }
 
 void
+ClusterNode::pushEvent(LocalEvent ev)
+{
+    ev.seq = eventSeq_++;
+    events_.push(ev);
+}
+
+void
 ClusterNode::tick(Cycle now)
 {
     // Batch the issue draws before acting on them: the six xoshiro
@@ -239,7 +246,7 @@ ClusterNode::tick(Cycle now)
                     LocalEvent retry = ev;
                     retry.due = now + 2 * cfg_.l2AccessCycles;
                     retry.mshrVersion = mshrVersion_[ti];
-                    events_.push(retry);
+                    pushEvent(retry);
                     continue;
                 }
             }
@@ -289,7 +296,7 @@ ClusterNode::coreAccess(CoreType type, int core_slot,
 
     ++outstanding;
     noteLocalRequest(l1RequestClass(type, acc.instr));
-    events_.push(LocalEvent{now + cfg_.l1ToL2Cycles, acc.lineAddr, 0, type,
+    pushEvent(LocalEvent{now + cfg_.l1ToL2Cycles, acc.lineAddr, 0, type,
                             LocalEvent::Kind::L2Access,
                             static_cast<std::int8_t>(l1_index),
                             static_cast<std::int8_t>(core_slot), acc.write,
@@ -318,7 +325,7 @@ ClusterNode::l2Access(const LocalEvent &ev, Cycle now)
                 LocalEvent fill = ev;
                 fill.kind = LocalEvent::Kind::Fill;
                 fill.due = now + cfg_.l2AccessCycles;
-                events_.push(fill);
+                pushEvent(fill);
             }
             return;
         }
@@ -345,7 +352,7 @@ ClusterNode::l2Access(const LocalEvent &ev, Cycle now)
         retry.due = now + 2 * cfg_.l2AccessCycles;
         retry.mshrVersion = mshrVersion_[ti];
         retry.isRetry = true;
-        events_.push(retry);
+        pushEvent(retry);
         return;
     }
     ++stats_.l2Misses[ti];
@@ -456,7 +463,7 @@ ClusterNode::handleFillResponse(const Packet &pkt, Cycle now)
                 // The grant was shared but a store is waiting: retry the
                 // store, which will raise an upgrade (ReadExcl) — this is
                 // exactly the extra coherence traffic real NMOESI incurs.
-                events_.push(LocalEvent{now + cfg_.l2AccessCycles, pkt.addr,
+                pushEvent(LocalEvent{now + cfg_.l2AccessCycles, pkt.addr,
                                         0, type, LocalEvent::Kind::L2Access,
                                         static_cast<std::int8_t>(w.l1Index),
                                         static_cast<std::int8_t>(w.coreSlot),
@@ -467,7 +474,7 @@ ClusterNode::handleFillResponse(const Packet &pkt, Cycle now)
         } else {
             line->meta.l1Mask |=
                 static_cast<std::uint8_t>(1u << (w.l1Index % 8));
-            events_.push(LocalEvent{now + cfg_.l2AccessCycles, pkt.addr, 0,
+            pushEvent(LocalEvent{now + cfg_.l2AccessCycles, pkt.addr, 0,
                                     type, LocalEvent::Kind::Fill,
                                     static_cast<std::int8_t>(w.l1Index),
                                     static_cast<std::int8_t>(w.coreSlot),

@@ -141,10 +141,10 @@ class ClusterNode
     };
 
     /** Deferred local work (L1->L2 hop, L2 array access, fills).
-     *  Deliberately packed to 32 bytes: the event heap is churned every
-     *  cycle (MSHR-full retries circulate through it), and sift cost is
-     *  proportional to element size.  The comparator is unchanged, so
-     *  heap order — and therefore behaviour — is unaffected. */
+     *  Events pop in an explicit order: by due cycle, then MSHR-full
+     *  retries before other events, then push order (seq, stamped by
+     *  pushEvent()).  Retries first makes the retries due in one cycle
+     *  a FIFO: survivors keep their order and new retries append. */
     struct LocalEvent
     {
         sim::Cycle due;
@@ -160,20 +160,25 @@ class ClusterNode
         bool write;
         bool instr;
         bool isRetry;
+        std::uint64_t seq = 0; //!< push order; see pushEvent()
 
         bool
         operator>(const LocalEvent &o) const
         {
-            return due > o.due;
+            if (due != o.due)
+                return due > o.due;
+            if (isRetry != o.isRetry)
+                return o.isRetry;
+            return seq > o.seq;
         }
     };
-    static_assert(sizeof(LocalEvent) <= 32,
-                  "LocalEvent grew; the event heap is hot");
 
     // Demand + L1 ----------------------------------------------------------
     void coreAccess(sim::CoreType type, int core_slot,
                     const traffic::MemAccess &acc, sim::Cycle now);
     void l2Access(const LocalEvent &ev, sim::Cycle now);
+    /** Queue a local event, stamping its push order. */
+    void pushEvent(LocalEvent ev);
     void completeFill(const LocalEvent &ev, sim::Cycle now);
 
     // Coherence ------------------------------------------------------------
@@ -226,6 +231,7 @@ class ClusterNode
     std::uint32_t mshrVersion_[sim::kNumCoreTypes] = {0, 0};
 
     sim::MinHeap<LocalEvent> events_;
+    std::uint64_t eventSeq_ = 0; //!< next LocalEvent::seq
 
     ClusterStats stats_;
     std::uint64_t packetSeq_ = 0;

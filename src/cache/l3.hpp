@@ -147,15 +147,17 @@ class L3Bank
         int pendingAcks = 0;
     };
 
+    /** A lookup due at a cycle.  Pops by due cycle, then push order. */
     struct TimedEvent
     {
         sim::Cycle due;
         std::uint64_t addr;
+        std::uint64_t seq;
 
         bool
         operator>(const TimedEvent &o) const
         {
-            return due > o.due;
+            return due != o.due ? due > o.due : seq > o.seq;
         }
     };
 
@@ -184,6 +186,7 @@ class L3Bank
     L3Array l3_;
     AddrMap<Transaction> mshr_;
     sim::MinHeap<TimedEvent> events_;
+    std::uint64_t eventSeq_ = 0; //!< next TimedEvent::seq
 
     L3Stats stats_;
     std::uint64_t packetSeq_ = 0;

@@ -98,7 +98,7 @@ HeteroSystem::send(Packet &&pkt)
             }
         }
         localHops_.push(LocalHop{network_.cycle() + cfg_.localHopCycles,
-                                 std::move(pkt)});
+                                 localHopSeq_++, std::move(pkt)});
         return;
     }
     outbox_[static_cast<std::size_t>(pkt.src)].push_back(std::move(pkt));

@@ -103,15 +103,18 @@ class HeteroSystem : public sim::PacketSink
     sim::Cycle fastForwardedCycles() const { return fastForwarded_; }
 
   private:
+    /** A same-router packet due at a cycle.  Pops by due cycle, then
+     *  push order. */
     struct LocalHop
     {
         sim::Cycle due;
+        std::uint64_t seq;
         sim::Packet pkt;
 
         bool
         operator>(const LocalHop &o) const
         {
-            return due > o.due;
+            return due != o.due ? due > o.due : seq > o.seq;
         }
     };
 
@@ -134,6 +137,7 @@ class HeteroSystem : public sim::PacketSink
     std::priority_queue<LocalHop, std::vector<LocalHop>,
                         std::greater<LocalHop>>
         localHops_;
+    std::uint64_t localHopSeq_ = 0; //!< next LocalHop::seq
 
     /**
      * Idle fast-forward is armed only when (a) PEARL_FAST_FORWARD is
