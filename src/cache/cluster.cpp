@@ -1,5 +1,8 @@
 #include "cache/cluster.hpp"
 
+#include <algorithm>
+#include <sstream>
+
 #include "common/log.hpp"
 
 namespace pearl {
@@ -67,7 +70,8 @@ ClusterNode::ClusterNode(int id, const HomeMap &home,
                          const traffic::GlobalPhase *cpu_phase,
                          const traffic::GlobalPhase *gpu_phase)
     : id_(id), home_(home), cfg_(cfg),
-      cpuL2_(cfg.cpuL2Lines, cfg.l2Ways), gpuL2_(cfg.gpuL2Lines, cfg.l2Ways)
+      cpuL2_(cfg.cpuL2Lines, cfg.l2Ways), gpuL2_(cfg.gpuL2Lines, cfg.l2Ways),
+      parkPeriod_(2 * cfg.l2AccessCycles)
 {
     const int cpu_cores = cfg.cpuCoresPerCluster;
     const int gpu_cus = cfg.gpuCusPerCluster;
@@ -99,6 +103,9 @@ ClusterNode::ClusterNode(int id, const HomeMap &home,
     mshr_[static_cast<int>(CoreType::GPU)].reserve(
         static_cast<std::size_t>(cfg.gpuL2MshrEntries));
     events_.reserve(256);
+    PEARL_ASSERT(parkPeriod_ > 0, "l2AccessCycles must be positive");
+    for (auto &by_phase : parked_)
+        by_phase.resize(static_cast<std::size_t>(parkPeriod_));
 }
 
 ClusterNode::L1Array &
@@ -218,43 +225,153 @@ ClusterNode::tick(Cycle now)
         }
     }
 
+    if (parkedCount_ != 0) {
+        PEARL_ASSERT(now == nextTick_,
+                     "parked retries need one tick per cycle");
+        wakeParked(now);
+    }
+    nextTick_ = now + 1;
+
     while (!events_.empty() && events_.top().due <= now) {
         const LocalEvent ev = events_.top();
         events_.pop();
-        if (ev.kind == LocalEvent::Kind::L2Access) {
-            if (ev.isRetry) {
-                // Memoized MSHR-full retry.  Version match: no MSHR
-                // entry was retired for this core type since the retry
-                // was queued (and none can have been inserted while the
-                // table stayed full), so re-running l2Access would take
-                // the identical full-MSHR path (no stats, no state) and
-                // requeue.  Version mismatch: an erase happened, but if
-                // the table refilled and this address is still absent,
-                // l2Access would again reach the full-MSHR path — the L2
-                // line can only have been downgraded while the address
-                // was outside the MSHR (only fills install or upgrade,
-                // and fills require an entry), so the lookup cannot have
-                // turned into a hit or an attach.  Either way requeue
-                // directly with a fresh stamp, skipping the lookups.
-                const int ti = static_cast<int>(ev.type);
-                const int capacity = ev.type == sim::CoreType::CPU
-                                         ? cfg_.cpuL2MshrEntries
-                                         : cfg_.gpuL2MshrEntries;
-                if (ev.mshrVersion == mshrVersion_[ti] ||
-                    (static_cast<int>(mshr_[ti].size()) >= capacity &&
-                     !mshr_[ti].contains(ev.addr))) {
-                    LocalEvent retry = ev;
-                    retry.due = now + 2 * cfg_.l2AccessCycles;
-                    retry.mshrVersion = mshrVersion_[ti];
-                    pushEvent(retry);
-                    continue;
-                }
-            }
+        if (ev.kind == LocalEvent::Kind::L2Access)
             l2Access(ev, now);
-        } else {
+        else
             completeFill(ev, now);
+    }
+}
+
+bool
+ClusterNode::mshrFull(int type_index) const
+{
+    const int capacity = type_index == static_cast<int>(CoreType::CPU)
+                             ? cfg_.cpuL2MshrEntries
+                             : cfg_.gpuL2MshrEntries;
+    return static_cast<int>(mshr_[type_index].size()) >= capacity;
+}
+
+void
+ClusterNode::park(const LocalEvent &ev, Cycle now)
+{
+    const int ti = static_cast<int>(ev.type);
+    LocalEvent retry = ev;
+    retry.seq = eventSeq_++;
+    parked_[ti][static_cast<std::size_t>(now % parkPeriod_)].push_back(
+        retry);
+    ++*parkedLines_[ti].tryEmplace(ev.addr).first;
+    peakParked_ = std::max(peakParked_, ++parkedCount_);
+}
+
+void
+ClusterNode::wakeParked(Cycle now)
+{
+    // Both types' buckets for this phase, merged by park order.  Only an
+    // erase (a fill, delivered outside tick) frees an MSHR entry, so a
+    // type that is full with no attachable retry stays stuck for the
+    // rest of this cycle: its remaining retries are skipped in place.
+    const auto slot = static_cast<std::size_t>(now % parkPeriod_);
+    std::size_t next[sim::kNumCoreTypes] = {0, 0};
+    std::size_t kept[sim::kNumCoreTypes] = {0, 0};
+    for (;;) {
+        int t = -1;
+        for (int ti = 0; ti < sim::kNumCoreTypes; ++ti) {
+            const auto &bucket = parked_[ti][slot];
+            if (next[ti] == bucket.size() ||
+                (attachable_[ti] == 0 && mshrFull(ti)))
+                continue;
+            if (t < 0 ||
+                bucket[next[ti]].seq < parked_[t][slot][next[t]].seq)
+                t = ti;
+        }
+        if (t < 0)
+            break;
+
+        auto &bucket = parked_[t][slot];
+        const LocalEvent ev = bucket[next[t]++];
+        const bool attach =
+            attachable_[t] != 0 && mshr_[t].contains(ev.addr);
+        if (!attach && mshrFull(t)) {
+            bucket[kept[t]++] = ev;
+            continue;
+        }
+
+        // Unpark before the access: an MSHR insert of this line must
+        // not count this retry as attachable.
+        --parkedCount_;
+        std::uint32_t *lines = parkedLines_[t].find(ev.addr);
+        PEARL_ASSERT(lines && *lines > 0);
+        if (--*lines == 0)
+            parkedLines_[t].erase(ev.addr);
+        if (attach)
+            --attachable_[t];
+        const std::size_t parked_before = parkedCount_;
+        l2Access(ev, now);
+        PEARL_ASSERT(parkedCount_ == parked_before,
+                     "a woken retry parked again");
+    }
+    for (int ti = 0; ti < sim::kNumCoreTypes; ++ti) {
+        auto &bucket = parked_[ti][slot];
+        const auto first = bucket.begin();
+        bucket.erase(first + static_cast<std::ptrdiff_t>(kept[ti]),
+                     first + static_cast<std::ptrdiff_t>(next[ti]));
+    }
+}
+
+std::optional<std::string>
+ClusterNode::auditParking() const
+{
+    std::size_t total = 0;
+    for (int ti = 0; ti < sim::kNumCoreTypes; ++ti) {
+        std::vector<std::uint64_t> lines;
+        std::uint32_t attachable = 0;
+        for (const auto &bucket : parked_[ti]) {
+            total += bucket.size();
+            for (const LocalEvent &ev : bucket) {
+                if (static_cast<int>(ev.type) != ti)
+                    return "retry of the wrong core type in a bucket";
+                lines.push_back(ev.addr);
+                if (mshr_[ti].contains(ev.addr))
+                    ++attachable;
+            }
+        }
+        std::sort(lines.begin(), lines.end());
+        std::size_t distinct = 0;
+        for (std::size_t i = 0; i < lines.size();) {
+            std::size_t j = i;
+            while (j < lines.size() && lines[j] == lines[i])
+                ++j;
+            const std::uint32_t *counted = parkedLines_[ti].find(lines[i]);
+            if (!counted || *counted != j - i) {
+                std::ostringstream oss;
+                oss << "type " << ti << " line " << lines[i] << ": "
+                    << (j - i) << " parked, counted "
+                    << (counted ? *counted : 0);
+                return oss.str();
+            }
+            ++distinct;
+            i = j;
+        }
+        if (parkedLines_[ti].size() != distinct) {
+            std::ostringstream oss;
+            oss << "type " << ti << ": " << parkedLines_[ti].size()
+                << " lines counted, " << distinct << " parked";
+            return oss.str();
+        }
+        if (attachable != attachable_[ti]) {
+            std::ostringstream oss;
+            oss << "type " << ti << ": attachable " << attachable_[ti]
+                << ", recount " << attachable;
+            return oss.str();
         }
     }
+    if (total != parkedCount_) {
+        std::ostringstream oss;
+        oss << "parked count " << parkedCount_ << ", buckets hold "
+            << total;
+        return oss.str();
+    }
+    return std::nullopt;
 }
 
 void
@@ -296,11 +413,11 @@ ClusterNode::coreAccess(CoreType type, int core_slot,
 
     ++outstanding;
     noteLocalRequest(l1RequestClass(type, acc.instr));
-    pushEvent(LocalEvent{now + cfg_.l1ToL2Cycles, acc.lineAddr, 0, type,
-                            LocalEvent::Kind::L2Access,
-                            static_cast<std::int8_t>(l1_index),
-                            static_cast<std::int8_t>(core_slot), acc.write,
-                            acc.instr, false});
+    pushEvent(LocalEvent{now + cfg_.l1ToL2Cycles, acc.lineAddr, type,
+                         LocalEvent::Kind::L2Access,
+                         static_cast<std::int8_t>(l1_index),
+                         static_cast<std::int8_t>(core_slot), acc.write,
+                         acc.instr});
 }
 
 void
@@ -341,18 +458,11 @@ ClusterNode::l2Access(const LocalEvent &ev, Cycle now)
         return;
     }
 
-    const int capacity = ev.type == CoreType::CPU ? cfg_.cpuL2MshrEntries
-                                                  : cfg_.gpuL2MshrEntries;
-    if (static_cast<int>(mshr.size()) >= capacity) {
-        // MSHR full: retry the access shortly.  Retries are not counted
-        // as additional misses.  The version stamp lets tick() requeue
-        // the retry without repeating this lookup while the MSHR state
-        // is unchanged.
-        LocalEvent retry = ev;
-        retry.due = now + 2 * cfg_.l2AccessCycles;
-        retry.mshrVersion = mshrVersion_[ti];
-        retry.isRetry = true;
-        pushEvent(retry);
+    if (mshrFull(ti)) {
+        // MSHR full: park the access until its phase comes round with
+        // room or its line in the MSHR.  Retries are not counted as
+        // additional misses.
+        park(ev, now);
         return;
     }
     ++stats_.l2Misses[ti];
@@ -364,11 +474,9 @@ ClusterNode::l2Access(const LocalEvent &ev, Cycle now)
     const bool non_coherent = entry.nonCoherent;
     entry.waiters.push_back(
         Waiter{ev.l1Index, ev.coreSlot, ev.write, ev.instr});
-    // No version bump here: a queued retry exists only because this table
-    // was full, and while it is full this insert path cannot execute, so
-    // an insert can never be the first event that changes a retry's
-    // outcome — the erase that made room for it already bumped.
     mshr.insertNew(ev.addr, std::move(entry));
+    if (const std::uint32_t *parked = parkedLines_[ti].find(ev.addr))
+        attachable_[ti] += *parked;
 
     const CoherenceOp op = (ev.write && !non_coherent)
                                ? CoherenceOp::ReadExcl
@@ -434,7 +542,8 @@ ClusterNode::handleFillResponse(const Packet &pkt, Cycle now)
     }
     MshrEntry entry = std::move(*found);
     mshr.erase(pkt.addr);
-    ++mshrVersion_[ti];
+    if (const std::uint32_t *parked = parkedLines_[ti].find(pkt.addr))
+        attachable_[ti] -= *parked;
 
     const bool exclusive = pkt.op == CoherenceOp::DataExcl;
     if (entry.write && !entry.nonCoherent) {
@@ -464,21 +573,21 @@ ClusterNode::handleFillResponse(const Packet &pkt, Cycle now)
                 // store, which will raise an upgrade (ReadExcl) — this is
                 // exactly the extra coherence traffic real NMOESI incurs.
                 pushEvent(LocalEvent{now + cfg_.l2AccessCycles, pkt.addr,
-                                        0, type, LocalEvent::Kind::L2Access,
-                                        static_cast<std::int8_t>(w.l1Index),
-                                        static_cast<std::int8_t>(w.coreSlot),
-                                        true, w.instr, false});
+                                     type, LocalEvent::Kind::L2Access,
+                                     static_cast<std::int8_t>(w.l1Index),
+                                     static_cast<std::int8_t>(w.coreSlot),
+                                     true, w.instr});
             } else {
                 --outstanding_[ti][static_cast<std::size_t>(w.coreSlot)];
             }
         } else {
             line->meta.l1Mask |=
                 static_cast<std::uint8_t>(1u << (w.l1Index % 8));
-            pushEvent(LocalEvent{now + cfg_.l2AccessCycles, pkt.addr, 0,
-                                    type, LocalEvent::Kind::Fill,
-                                    static_cast<std::int8_t>(w.l1Index),
-                                    static_cast<std::int8_t>(w.coreSlot),
-                                    false, w.instr, false});
+            pushEvent(LocalEvent{now + cfg_.l2AccessCycles, pkt.addr, type,
+                                 LocalEvent::Kind::Fill,
+                                 static_cast<std::int8_t>(w.l1Index),
+                                 static_cast<std::int8_t>(w.coreSlot),
+                                 false, w.instr});
         }
     }
 }

@@ -14,6 +14,8 @@
 #define PEARL_CACHE_CLUSTER_HPP
 
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "cache/addr_map.hpp"
@@ -91,7 +93,9 @@ class ClusterNode
         telemetry_ = telemetry;
     }
 
-    /** Advance one network cycle: demand generation + due local events. */
+    /** Advance one network cycle: demand generation, parked MSHR-full
+     *  retries whose phase is due, then due local events.  Call once per
+     *  cycle while retries are parked: they wake by the cycle's phase. */
     void tick(sim::Cycle now);
 
     /** Handle a packet the network delivered to this cluster's router. */
@@ -107,12 +111,26 @@ class ClusterNode
         return mshr_[static_cast<int>(t)].size();
     }
 
-    /** True when no local event or outstanding miss is pending. */
+    /** MSHR-full retries parked now, and the most parked at once. */
+    std::size_t parkedRetries() const { return parkedCount_; }
+    std::size_t peakParkedRetries() const { return peakParked_; }
+
+    /** True when no local event, parked retry or outstanding miss is
+     *  pending. */
     bool
     quiescent() const
     {
-        return events_.empty() && mshr_[0].empty() && mshr_[1].empty();
+        return events_.empty() && parkedCount_ == 0 && mshr_[0].empty() &&
+               mshr_[1].empty();
     }
+
+    /**
+     * Verification plane: recount the parking state.  @return a
+     * description of the first mismatch between the counters
+     * (parkedRetries(), the per-line park counts, the attachable
+     * counts) and the parked retries themselves, or nullopt.
+     */
+    std::optional<std::string> auditParking() const;
 
   private:
     struct L2Meta
@@ -140,38 +158,31 @@ class ClusterNode
         std::vector<Waiter> waiters;
     };
 
-    /** Deferred local work (L1->L2 hop, L2 array access, fills).
-     *  Events pop in an explicit order: by due cycle, then MSHR-full
-     *  retries before other events, then push order (seq, stamped by
-     *  pushEvent()).  Retries first makes the retries due in one cycle
-     *  a FIFO: survivors keep their order and new retries append. */
+    /** Deferred local work (L1->L2 hop, L2 array access, fills), also
+     *  the record of a parked MSHR-full retry (due unused).  The heap
+     *  pops by due cycle, then push order; seq is stamped by
+     *  pushEvent() or park() from one counter.  Packed to 32 bytes:
+     *  sift cost grows with element size. */
     struct LocalEvent
     {
         sim::Cycle due;
         std::uint64_t addr;
-        /** MSHR-full retry memoization (see tick()): the mshrVersion_
-         *  observed when the retry was queued.  Ignored unless
-         *  isRetry. */
-        std::uint32_t mshrVersion;
         sim::CoreType type;
         enum class Kind : std::uint8_t { L2Access, Fill } kind;
         std::int8_t l1Index;
         std::int8_t coreSlot;
         bool write;
         bool instr;
-        bool isRetry;
-        std::uint64_t seq = 0; //!< push order; see pushEvent()
+        std::uint64_t seq = 0;
 
         bool
         operator>(const LocalEvent &o) const
         {
-            if (due != o.due)
-                return due > o.due;
-            if (isRetry != o.isRetry)
-                return o.isRetry;
-            return seq > o.seq;
+            return due != o.due ? due > o.due : seq > o.seq;
         }
     };
+    static_assert(sizeof(LocalEvent) <= 32,
+                  "LocalEvent grew; the event heap is hot");
 
     // Demand + L1 ----------------------------------------------------------
     void coreAccess(sim::CoreType type, int core_slot,
@@ -179,6 +190,12 @@ class ClusterNode
     void l2Access(const LocalEvent &ev, sim::Cycle now);
     /** Queue a local event, stamping its push order. */
     void pushEvent(LocalEvent ev);
+    /** Park an L2 access that found its type's MSHR full and its line
+     *  absent; it wakes every parkPeriod_ cycles from now. */
+    void park(const LocalEvent &ev, sim::Cycle now);
+    /** Run the parked retries of this cycle's phase that can proceed. */
+    void wakeParked(sim::Cycle now);
+    bool mshrFull(int type_index) const;
     void completeFill(const LocalEvent &ev, sim::Cycle now);
 
     // Coherence ------------------------------------------------------------
@@ -216,22 +233,30 @@ class ClusterNode
 
     AddrMap<MshrEntry> mshr_[sim::kNumCoreTypes];
 
-    /**
-     * Per-type MSHR generation counter, bumped whenever an MSHR entry is
-     * erased — the only event that can change a queued MSHR-full retry's
-     * outcome.  A retry exists only because the table was full; while it
-     * stays full no insert can execute, so capacity can't free and no
-     * same-address entry can appear without an erase first (fills erase
-     * before they install, so every L2 install bumps too).  A retry
-     * event whose stamp still matches is requeued in O(1) without
-     * re-running the L2 lookup: provably the same behaviour, since the
-     * full-MSHR path touches no stats and probes can only downgrade line
-     * states (they never turn a queued retry's miss into a hit).
-     */
-    std::uint32_t mshrVersion_[sim::kNumCoreTypes] = {0, 0};
-
+    /** Local events due at a cycle; MSHR-full retries are parked
+     *  instead (below). */
     sim::MinHeap<LocalEvent> events_;
     std::uint64_t eventSeq_ = 0; //!< next LocalEvent::seq
+
+    /**
+     * MSHR-full retries, parked by core type and phase (DESIGN.md,
+     * "Cluster event order").  A retry parked at cycle t waits in
+     * parked_[type][t % parkPeriod_], in park order, and is examined
+     * at t + k * parkPeriod_ (parkPeriod_ = 2 * l2AccessCycles).  It
+     * proceeds iff its type's MSHR is not full or already holds its
+     * line; otherwise it keeps its place.
+     */
+    std::vector<std::vector<LocalEvent>> parked_[sim::kNumCoreTypes];
+    sim::Cycle parkPeriod_;
+    std::size_t parkedCount_ = 0;
+    std::size_t peakParked_ = 0;
+    /** Parked retries per line, by type (an insert's attach count). */
+    AddrMap<std::uint32_t> parkedLines_[sim::kNumCoreTypes];
+    /** Parked retries whose line is in their type's MSHR, by type: the
+     *  ones that can proceed while the MSHR is full.  Rises on an MSHR
+     *  insert, falls on an erase and when such a retry wakes. */
+    std::uint32_t attachable_[sim::kNumCoreTypes] = {0, 0};
+    sim::Cycle nextTick_ = 0; //!< tick() cadence check
 
     ClusterStats stats_;
     std::uint64_t packetSeq_ = 0;
