@@ -1,5 +1,6 @@
 #include "core/system.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/log.hpp"
@@ -160,6 +161,9 @@ HeteroSystem::stepOnce()
     for (const Packet &pkt : delivered)
         dispatch(pkt, now);
     delivered.clear();
+
+    if (auditor_)
+        auditor_->afterStep(*this);
 }
 
 bool
@@ -275,9 +279,28 @@ HeteroSystem::dumpStallDiagnostics(Cycle elapsed) const
         if (!outbox_[n].empty())
             oss << " node" << n << "=" << outbox_[n].size();
     }
-    oss << "\n  localHops=" << localHops_.size() << "\n";
+    oss << "\n  localHops=" << localHops_.size()
+        << " parkedRetries=" << parkedRetries() << "\n";
     network_.describeState(oss);
     warn(oss.str());
+}
+
+std::size_t
+HeteroSystem::parkedRetries() const
+{
+    std::size_t total = 0;
+    for (const auto &cluster : clusters_)
+        total += cluster->parkedRetries();
+    return total;
+}
+
+std::size_t
+HeteroSystem::peakParkedRetries() const
+{
+    std::size_t peak = 0;
+    for (const auto &cluster : clusters_)
+        peak = std::max(peak, cluster->peakParkedRetries());
+    return peak;
 }
 
 cache::ClusterStats

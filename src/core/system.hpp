@@ -62,6 +62,19 @@ struct SystemConfig
 /** Looks up the telemetry block of a node, or nullptr if none. */
 using TelemetryLookup = std::function<sim::RouterTelemetry *(int)>;
 
+class HeteroSystem;
+
+/** Observer of the node models after every HeteroSystem step (the
+ *  verification plane's hook; see verify::Invariants). */
+class SystemAuditor
+{
+  public:
+    virtual ~SystemAuditor() = default;
+
+    /** Inspect the system after one step; throw to abort the run. */
+    virtual void afterStep(const HeteroSystem &system) = 0;
+};
+
 /** The full chip: clusters + L3 banks + memory + network. */
 class HeteroSystem : public sim::PacketSink
 {
@@ -88,6 +101,8 @@ class HeteroSystem : public sim::PacketSink
 
     // Introspection ---------------------------------------------------
     sim::Network &network() { return network_; }
+    const sim::Network &network() const { return network_; }
+    int numClusters() const { return static_cast<int>(clusters_.size()); }
     const cache::ClusterNode &cluster(int i) const { return *clusters_[i]; }
     const cache::L3Bank &bank(int i) const { return *banks_[i]; }
     const cache::MemoryNode &memory() const { return *memory_; }
@@ -101,6 +116,15 @@ class HeteroSystem : public sim::PacketSink
 
     /** Cycles skipped by idle fast-forward (0 when FF is off/inert). */
     sim::Cycle fastForwardedCycles() const { return fastForwarded_; }
+
+    /** MSHR-full retries parked over all clusters right now. */
+    std::size_t parkedRetries() const;
+
+    /** The most retries any one cluster has held parked at once. */
+    std::size_t peakParkedRetries() const;
+
+    /** Install (or clear with nullptr) a per-step auditor. */
+    void setAuditor(SystemAuditor *auditor) { auditor_ = auditor; }
 
   private:
     /** A same-router packet due at a cycle.  Pops by due cycle, then
@@ -138,6 +162,7 @@ class HeteroSystem : public sim::PacketSink
                         std::greater<LocalHop>>
         localHops_;
     std::uint64_t localHopSeq_ = 0; //!< next LocalHop::seq
+    SystemAuditor *auditor_ = nullptr;
 
     /**
      * Idle fast-forward is armed only when (a) PEARL_FAST_FORWARD is

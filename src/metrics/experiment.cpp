@@ -201,6 +201,18 @@ fillCommon(RunMetrics &m, const sim::NetworkStats &stats,
         stats.policyFallbackWindows() - warm.fallbackWindows;
 }
 
+/** MSHR-full retries parked in the clusters when the run ends, and the
+ *  most any one cluster held at once. */
+void
+publishParking(obs::MetricsRegistry &registry,
+               const core::HeteroSystem &system)
+{
+    registry.gauge("cache.mshr_parked") =
+        static_cast<double>(system.parkedRetries());
+    registry.gauge("cache.mshr_parked_peak") =
+        static_cast<double>(system.peakParkedRetries());
+}
+
 } // namespace
 
 RunMetrics
@@ -216,9 +228,10 @@ runPearl(const traffic::BenchmarkPair &pair,
 
     // Verification plane: audit every step in Debug builds or under
     // PEARL_VERIFY=1; Release runs keep a bare null-pointer test in the
-    // cycle loop (see verify::runtimeChecksEnabled).
+    // cycle loops (see verify::runtimeChecksEnabled).
     verify::Invariants invariants;
-    if (verify::runtimeChecksEnabled())
+    const bool audit = verify::runtimeChecksEnabled();
+    if (audit)
         net.setAuditor(&invariants);
 
     if (opts.tracer) {
@@ -231,6 +244,8 @@ runPearl(const traffic::BenchmarkPair &pair,
     core::HeteroSystem system(
         net, pair, sys,
         [&net](int node) { return &net.telemetryOf(node); });
+    if (audit)
+        system.setAuditor(&invariants);
 
     timing.buildSeconds = secondsSince(t_build);
 
@@ -271,6 +286,7 @@ runPearl(const traffic::BenchmarkPair &pair,
             static_cast<double>(net.auditCounts().blocked);
         opts.registry->gauge("net.blocked_arrivals_peak") =
             static_cast<double>(net.peakBlocked());
+        publishParking(*opts.registry, system);
         opts.registry->gauge("power.laser_w") = m.laserPowerW;
         opts.registry->gauge("power.energy_per_bit_pj") =
             m.energyPerBitPj;
@@ -301,6 +317,9 @@ runCmesh(const traffic::BenchmarkPair &pair,
     core::SystemConfig sys = opts.system;
     sys.seed = opts.seed;
     core::HeteroSystem system(net, pair, sys);
+    verify::Invariants invariants; // cluster audit only; see runPearl
+    if (verify::runtimeChecksEnabled())
+        system.setAuditor(&invariants);
     if (opts.tracer)
         traceRunStart(opts, config_name, pair.label());
 
@@ -323,8 +342,10 @@ runCmesh(const traffic::BenchmarkPair &pair,
     m.pairLabel = pair.label();
     fillCommon(m, net.stats(), warm, opts.measureCycles, dt,
                net.totalEnergyJ(dt));
-    if (opts.registry)
+    if (opts.registry) {
         net.stats().publishTo(*opts.registry);
+        publishParking(*opts.registry, system);
+    }
     if (opts.tracer) {
         // The electrical mesh has no fault plane; the zero summary
         // still stamps the "fault" category into the trace.

@@ -241,5 +241,18 @@ Invariants::afterStep(const core::PearlNetwork &net)
     ++steps_;
 }
 
+void
+Invariants::afterStep(const core::HeteroSystem &system)
+{
+    ++systemSteps_;
+    for (int c = 0; c < system.numClusters(); ++c) {
+        if (auto violation = system.cluster(c).auditParking()) {
+            fail(system.network().cycle(),
+                 "cluster " + std::to_string(c) + " parking: " +
+                     *violation);
+        }
+    }
+}
+
 } // namespace verify
 } // namespace pearl

@@ -22,6 +22,14 @@
  *  - monotone accounting: energy integrals never decrease and the cycle
  *    counter strictly increases.
  *
+ * Installed on a core::HeteroSystem as a core::SystemAuditor it also
+ * recounts every cluster's parked MSHR-full retries after each step
+ * (cache::ClusterNode::auditParking): the parked total and the
+ * attachable counts must match the retries in the phase buckets.
+ * These counters steer which retries are examined but never change a
+ * result, so a leak shows up only here (and as lost host time), never
+ * in a golden.
+ *
  * A violation throws InvariantViolation.  Checks are meant for Debug
  * builds and PEARL_VERIFY=1 runs: runtimeChecksEnabled() defaults on
  * under !NDEBUG and off in Release, and metrics::runPearl consults it
@@ -39,6 +47,7 @@
 
 #include "common/env.hpp"
 #include "core/network.hpp"
+#include "core/system.hpp"
 
 namespace pearl {
 namespace verify {
@@ -75,16 +84,21 @@ runtimeChecksEnabled()
 }
 
 /** The runtime invariant checker (see file comment). */
-class Invariants : public core::StepAuditor
+class Invariants : public core::StepAuditor, public core::SystemAuditor
 {
   public:
     void afterStep(const core::PearlNetwork &net) override;
+    void afterStep(const core::HeteroSystem &system) override;
 
     /** Steps audited so far (tests assert the hook actually ran). */
     std::uint64_t stepsAudited() const { return steps_; }
 
+    /** System steps whose clusters were audited. */
+    std::uint64_t systemStepsAudited() const { return systemSteps_; }
+
   private:
     std::uint64_t steps_ = 0;
+    std::uint64_t systemSteps_ = 0;
     bool seen_ = false;
     sim::Cycle prevCycle_ = 0;
     double prevLaserJ_ = 0.0;

@@ -1,7 +1,8 @@
 /**
  * @file
  * Behavioural tests of the cluster node: L1 filtering, write-through
- * stores, MSHR merging, upgrades, probes and telemetry.
+ * stores, MSHR merging, upgrades, probes, telemetry and the parking of
+ * MSHR-full retries.
  */
 
 #include <gtest/gtest.h>
@@ -74,11 +75,60 @@ class ClusterTest : public ::testing::Test
         cluster_->attach(&sink_, &telemetry_);
     }
 
+    /** Tick n cycles, recounting the parking state after each. */
     void
     runCycles(int n)
     {
-        for (int i = 0; i < n; ++i, ++now_)
+        for (int i = 0; i < n; ++i, ++now_) {
             cluster_->tick(now_);
+            const auto violation = cluster_->auditParking();
+            ASSERT_FALSE(violation.has_value()) << *violation;
+        }
+    }
+
+    /** Tick up to and including cycle `last`. */
+    void runThrough(Cycle last) { runCycles(static_cast<int>(last + 1 - now_)); }
+
+    /** Deliver the fill for one line at the last ticked cycle, as the
+     *  system does after the cluster ticks. */
+    void
+    deliverFill(std::uint64_t addr, CoreType type)
+    {
+        Packet fill;
+        fill.op = CoherenceOp::DataExcl;
+        fill.msgClass = type == CoreType::CPU ? MsgClass::RespCpuL2Down
+                                              : MsgClass::RespGpuL2Down;
+        fill.dstUnit = NodeUnit::Cluster;
+        fill.src = 0;
+        fill.dst = 2;
+        fill.addr = addr;
+        fill.sizeBits = sim::kResponseBits;
+        cluster_->deliver(fill, now_ - 1);
+    }
+
+    /** Network reads (Read or ReadExcl) sent for one line. */
+    std::vector<Packet>
+    readsFor(std::uint64_t addr) const
+    {
+        std::vector<Packet> out;
+        for (const Packet &p : sink_.packets) {
+            if (p.addr == addr && (p.op == CoherenceOp::Read ||
+                                   p.op == CoherenceOp::ReadExcl))
+                out.push_back(p);
+        }
+        return out;
+    }
+
+    /** First streamed line of CPU core `core` / GPU CU `cu` (cluster 2). */
+    static std::uint64_t
+    cpuLine0(int core)
+    {
+        return traffic::AddressSpace::privateBase(2 * 64 + core);
+    }
+    static std::uint64_t
+    gpuLine0(int cu)
+    {
+        return traffic::AddressSpace::privateBase(2 * 64 + 32 + cu);
     }
 
     /** Respond to every outstanding network read with a fill. */
@@ -277,6 +327,154 @@ TEST_F(ClusterTest, QuiescentWhenIdle)
     runCycles(10);
     EXPECT_TRUE(cluster_->quiescent());
     EXPECT_EQ(sink_.packets.size(), 0u);
+}
+
+// MSHR-full retries -------------------------------------------------------
+//
+// The parking tests drive firehose cores (one load per cycle, eight per
+// line) with one outstanding access per core, so each core issues its
+// first load at cycle 0 and nothing more until that load completes.
+// Loads that meet a full MSHR park in the phase slot of their cycle,
+// modulo 2 * l2AccessCycles, and are looked at again only there.
+
+TEST_F(ClusterTest, ParkedMissLeavesAtFirstPhaseSlotAfterTheFill)
+{
+    // Core 0's load takes the only MSHR entry at cycle 2; core 1's load
+    // parks in slot 2 (period 8).  Whenever the fill arrives, core 1's
+    // request leaves at the first cycle after it that is 2 mod 8 —
+    // including when core 0's next miss is due that same cycle (fills
+    // at 3 and 11), since parked retries run first.
+    for (const Cycle fill_at : {3, 6, 9, 11, 14, 17}) {
+        SCOPED_TRACE("fill at cycle " + std::to_string(fill_at));
+        cfg_.l1ToL2Cycles = 2;
+        cfg_.l2AccessCycles = 4;
+        cfg_.cpuL2MshrEntries = 1;
+        cfg_.cpuCoreMaxOutstanding = 1;
+        sink_.clear();
+        now_ = 0;
+        makeCluster(firehoseProfile(CoreType::CPU),
+                    silentProfile(CoreType::GPU));
+
+        runThrough(2);
+        ASSERT_EQ(readsFor(cpuLine0(0)).size(), 1u);
+        EXPECT_EQ(cluster_->parkedRetries(), 1u);
+
+        runThrough(fill_at);
+        EXPECT_TRUE(readsFor(cpuLine0(1)).empty());
+        deliverFill(cpuLine0(0), CoreType::CPU);
+        const Cycle slot = fill_at < 10 ? 10 : 18;
+        runThrough(slot + 1);
+
+        const auto reads = readsFor(cpuLine0(1));
+        ASSERT_EQ(reads.size(), 1u);
+        EXPECT_EQ(reads[0].cycleCreated, slot);
+        EXPECT_EQ(cluster_->peakParkedRetries(), 1u);
+    }
+}
+
+TEST_F(ClusterTest, SecondParkedRetryToALineAttaches)
+{
+    // Two loads from core 1 to one line park in slots 2 and 3.  After
+    // the fill frees the MSHR, the first inserts the line at cycle 10;
+    // the second finds it in the full MSHR at cycle 11 and attaches
+    // instead of sending a second request.
+    cfg_.l1ToL2Cycles = 2;
+    cfg_.l2AccessCycles = 4;
+    cfg_.cpuL2MshrEntries = 1;
+    cfg_.cpuCoreMaxOutstanding = 2;
+    makeCluster(firehoseProfile(CoreType::CPU), silentProfile(CoreType::GPU));
+
+    runThrough(3);
+    EXPECT_EQ(cluster_->parkedRetries(), 2u);
+    runThrough(4);
+    deliverFill(cpuLine0(0), CoreType::CPU);
+    runThrough(11);
+
+    const auto reads = readsFor(cpuLine0(1));
+    ASSERT_EQ(reads.size(), 1u);
+    EXPECT_EQ(reads[0].cycleCreated, 10u);
+    EXPECT_EQ(cluster_->mshrOccupancy(CoreType::CPU), 1u);
+    // One insert and one attach per line: both of core 1's loads count
+    // as L2 misses, the parking itself as none.
+    EXPECT_EQ(cluster_->stats().l2Misses[0], 4u);
+
+    // The line's fill completes both loads.
+    const std::uint64_t to_core = telemetry_.packetsToCore;
+    deliverFill(cpuLine0(1), CoreType::CPU);
+    runCycles(5);
+    EXPECT_EQ(telemetry_.packetsToCore - to_core, 2u);
+}
+
+TEST_F(ClusterTest, ParkedRetryWhoseLineFilledMeanwhileHitsInL2)
+{
+    // As above, but the line's fill lands between the two wakes (after
+    // cycle 10): the erase makes the second retry unattachable again,
+    // and at cycle 11 it finds room and hits the freshly filled L2.
+    cfg_.l1ToL2Cycles = 2;
+    cfg_.l2AccessCycles = 4;
+    cfg_.cpuL2MshrEntries = 1;
+    cfg_.cpuCoreMaxOutstanding = 2;
+    makeCluster(firehoseProfile(CoreType::CPU), silentProfile(CoreType::GPU));
+
+    runThrough(4);
+    deliverFill(cpuLine0(0), CoreType::CPU);
+    runThrough(10);
+    EXPECT_EQ(cluster_->parkedRetries(), 1u);
+    deliverFill(cpuLine0(1), CoreType::CPU);
+    runThrough(11);
+
+    EXPECT_EQ(readsFor(cpuLine0(1)).size(), 1u);
+    EXPECT_EQ(cluster_->stats().l2Hits[0], 1u);
+    // Core 0's line twice, core 1's once, core 0's next line (due 11).
+    EXPECT_EQ(cluster_->stats().l2Misses[0], 4u);
+}
+
+TEST_F(ClusterTest, ParkedRetriesRunBeforeFreshEventsDueTheSameCycle)
+{
+    // l1ToL2Cycles = 9 is not a multiple of the parking period (8), so
+    // fresh L2 accesses land on any phase.  CU 0 holds the one GPU MSHR
+    // entry from cycle 9; CUs 1-3 park in slot 1.  CU 0's next miss
+    // (issued at 16 after its fill at 11) is due at 25, the cycle the
+    // parked CU 2 is next looked at with room: CU 2 goes first and CU
+    // 0's access parks.
+    cfg_.l1ToL2Cycles = 9;
+    cfg_.l2AccessCycles = 4;
+    cfg_.gpuL2MshrEntries = 1;
+    cfg_.gpuCoreMaxOutstanding = 1;
+    makeCluster(silentProfile(CoreType::CPU), firehoseProfile(CoreType::GPU));
+
+    runThrough(11);
+    EXPECT_EQ(cluster_->parkedRetries(), 3u);
+    deliverFill(gpuLine0(0), CoreType::GPU);
+    runThrough(20);
+    ASSERT_EQ(readsFor(gpuLine0(1)).size(), 1u);
+    EXPECT_EQ(readsFor(gpuLine0(1))[0].cycleCreated, 17u);
+    deliverFill(gpuLine0(1), CoreType::GPU);
+    runThrough(25);
+
+    const auto reads = readsFor(gpuLine0(2));
+    ASSERT_EQ(reads.size(), 1u);
+    EXPECT_EQ(reads[0].cycleCreated, 25u);
+    EXPECT_EQ(sink_.countOp(CoherenceOp::Read), 3u); // CU 0's new miss waits
+    EXPECT_EQ(cluster_->parkedRetries(), 2u);        // CU 3 and CU 0
+}
+
+TEST_F(ClusterTest, NotQuiescentWhileARetryIsParked)
+{
+    // After core 0's fill completes (cycle 8) the MSHR and the event heap
+    // are empty, but core 1's load is still parked until cycle 10.
+    cfg_.l1ToL2Cycles = 2;
+    cfg_.l2AccessCycles = 4;
+    cfg_.cpuL2MshrEntries = 1;
+    cfg_.cpuCoreMaxOutstanding = 1;
+    makeCluster(firehoseProfile(CoreType::CPU), silentProfile(CoreType::GPU));
+
+    runThrough(4);
+    deliverFill(cpuLine0(0), CoreType::CPU);
+    runThrough(8);
+    EXPECT_EQ(cluster_->mshrOccupancy(CoreType::CPU), 0u);
+    EXPECT_EQ(cluster_->parkedRetries(), 1u);
+    EXPECT_FALSE(cluster_->quiescent());
 }
 
 } // namespace

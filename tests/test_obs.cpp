@@ -468,6 +468,46 @@ TEST(Obs, RegistryReconcilesExactlyWithRunMetrics)
     EXPECT_TRUE(reg.gauges().count("router0.dba_cpu_share_mean"));
 }
 
+TEST(Obs, MshrParkingGaugesShowRetryPileUp)
+{
+    // Rad/QRS held in their ON burst phase fill the L2 MSHRs, and both
+    // fabrics' runs publish how many MSHR-full retries were parked (at
+    // run end and at most in one cluster).  A chip that never issues
+    // parks nothing.
+    traffic::BenchmarkSuite suite;
+    traffic::BenchmarkPair busy{suite.find("Rad"), suite.find("QRS")};
+    for (traffic::BenchmarkProfile *p : {&busy.cpu, &busy.gpu}) {
+        p->pOnToOff = 0.0;
+        p->pOffToOn = 1.0;
+    }
+    traffic::BenchmarkPair silent = busy;
+    for (traffic::BenchmarkProfile *p : {&silent.cpu, &silent.gpu})
+        p->accessRateOn = p->accessRateOff = 0.0;
+
+    for (const auto fabric : {metrics::RunSpec::Fabric::Pearl,
+                              metrics::RunSpec::Fabric::Cmesh}) {
+        SCOPED_TRACE(fabric == metrics::RunSpec::Fabric::Pearl ? "pearl"
+                                                               : "cmesh");
+        for (const bool is_busy : {true, false}) {
+            metrics::RunSpec spec =
+                reactiveSpec(is_busy ? busy : silent, 500, 1500);
+            spec.fabric = fabric;
+            obs::MetricsRegistry reg;
+            spec.options.registry = &reg;
+            metrics::executeSpec(spec, 7);
+            const double peak = reg.gauges().at("cache.mshr_parked_peak");
+            const double parked = reg.gauges().at("cache.mshr_parked");
+            if (is_busy) {
+                EXPECT_GT(peak, 0.0);
+            } else {
+                EXPECT_EQ(peak, 0.0);
+                EXPECT_EQ(parked, 0.0);
+            }
+            EXPECT_LE(parked, peak * 16); // at most peak in each cluster
+        }
+    }
+}
+
 // --------------------------------------------------------------------------
 // Integration: trace determinism and zero cost
 

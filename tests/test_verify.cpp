@@ -593,6 +593,34 @@ TEST(Invariants, BlockedArrivalsReportedOnlyWhenTheHubSaturates)
     }
 }
 
+TEST(Invariants, ClusterParkingAuditedEveryStepOnGoldenReactiveRun)
+{
+    // The golden grid's reactive Rad+QRS config with the cluster audit
+    // installed: after every step, each cluster's parked-retry total
+    // and attachable counts must match a recount of its phase buckets.
+    // Those counters decide which retries get looked at, never what a
+    // retry does, so a leak in them costs host time and moves no
+    // golden; only this audit sees it.
+    traffic::BenchmarkSuite suite;
+    core::PearlConfig cfg;
+    cfg.reservationWindow = 500;
+    const photonic::PowerModel power;
+    core::ReactivePolicy policy;
+    core::PearlNetwork net(cfg, power, core::DbaConfig{}, &policy);
+    Invariants invariants;
+    net.setAuditor(&invariants);
+    core::SystemConfig sys;
+    sys.seed = deriveSeed(100, 0); // the golden sweep's seed for this row
+    core::HeteroSystem system(
+        net, {suite.find("Rad"), suite.find("QRS")}, sys,
+        [&net](int n) { return &net.telemetryOf(n); });
+    system.setAuditor(&invariants);
+
+    EXPECT_NO_THROW(system.run(400 + 2500));
+    EXPECT_EQ(invariants.systemStepsAudited(), 2900u);
+    EXPECT_GT(system.peakParkedRetries(), 0u);
+}
+
 TEST(Invariants, ConservationHoldsOnBalancedCounts)
 {
     core::AuditCounts c;
