@@ -321,6 +321,11 @@ ClusterNode::wakeParked(Cycle now)
 std::optional<std::string>
 ClusterNode::auditParking() const
 {
+    const auto mismatch = [](const auto &...parts) {
+        std::ostringstream oss;
+        (oss << ... << parts);
+        return std::optional<std::string>(oss.str());
+    };
     std::size_t total = 0;
     for (int ti = 0; ti < sim::kNumCoreTypes; ++ti) {
         std::vector<std::uint64_t> lines;
@@ -328,49 +333,30 @@ ClusterNode::auditParking() const
         for (const auto &bucket : parked_[ti]) {
             total += bucket.size();
             for (const LocalEvent &ev : bucket) {
-                if (static_cast<int>(ev.type) != ti)
-                    return "retry of the wrong core type in a bucket";
                 lines.push_back(ev.addr);
-                if (mshr_[ti].contains(ev.addr))
-                    ++attachable;
+                attachable += mshr_[ti].contains(ev.addr) ? 1 : 0;
             }
         }
         std::sort(lines.begin(), lines.end());
         std::size_t distinct = 0;
-        for (std::size_t i = 0; i < lines.size();) {
-            std::size_t j = i;
+        for (std::size_t i = 0, j = 0; i < lines.size(); i = j, ++distinct) {
             while (j < lines.size() && lines[j] == lines[i])
                 ++j;
             const std::uint32_t *counted = parkedLines_[ti].find(lines[i]);
-            if (!counted || *counted != j - i) {
-                std::ostringstream oss;
-                oss << "type " << ti << " line " << lines[i] << ": "
-                    << (j - i) << " parked, counted "
-                    << (counted ? *counted : 0);
-                return oss.str();
-            }
-            ++distinct;
-            i = j;
+            if (!counted || *counted != j - i)
+                return mismatch("type ", ti, " line ", lines[i], ": ", j - i,
+                                " parked, counted ", counted ? *counted : 0);
         }
-        if (parkedLines_[ti].size() != distinct) {
-            std::ostringstream oss;
-            oss << "type " << ti << ": " << parkedLines_[ti].size()
-                << " lines counted, " << distinct << " parked";
-            return oss.str();
-        }
-        if (attachable != attachable_[ti]) {
-            std::ostringstream oss;
-            oss << "type " << ti << ": attachable " << attachable_[ti]
-                << ", recount " << attachable;
-            return oss.str();
-        }
+        if (parkedLines_[ti].size() != distinct)
+            return mismatch("type ", ti, ": ", parkedLines_[ti].size(),
+                            " lines counted, ", distinct, " parked");
+        if (attachable != attachable_[ti])
+            return mismatch("type ", ti, ": attachable ", attachable_[ti],
+                            ", recount ", attachable);
     }
-    if (total != parkedCount_) {
-        std::ostringstream oss;
-        oss << "parked count " << parkedCount_ << ", buckets hold "
-            << total;
-        return oss.str();
-    }
+    if (total != parkedCount_)
+        return mismatch("parked count ", parkedCount_, ", buckets hold ",
+                        total);
     return std::nullopt;
 }
 
