@@ -133,8 +133,7 @@ L3Bank::handleMemResponse(const Packet &pkt, Cycle now)
 {
     Transaction *tx = mshr_.find(pkt.addr);
     if (!tx) {
-        warn("L3 bank ", nodeId_, ": stray memory response for addr ",
-             pkt.addr);
+        ++stats_.strayMemResponses;
         return;
     }
     auto *line = l3_.find(pkt.addr);
@@ -250,8 +249,7 @@ L3Bank::handleProbeReply(const Packet &pkt, Cycle now)
         // when a memory response installed into its way).  Restart the
         // transaction from the lookup so the queued requesters are not
         // stranded.
-        warn("L3 bank ", nodeId_, ": probe reply for a line evicted "
-             "mid-transaction, addr ", pkt.addr, "; restarting lookup");
+        ++stats_.restarts;
         if (pkt.op == CoherenceOp::Data)
             sendToMemory(CoherenceOp::Writeback, pkt.addr, now);
         tx.phase = Transaction::Phase::Lookup;

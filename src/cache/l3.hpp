@@ -43,6 +43,11 @@ struct L3Stats
     std::uint64_t memoryWrites = 0;
     std::uint64_t probesSent = 0;
     std::uint64_t invalidationsSent = 0;
+    /** Lookups restarted by a probe reply for a line evicted while its
+     *  transaction awaited the reply. */
+    std::uint64_t restarts = 0;
+    /** Memory responses that found no open transaction (dropped). */
+    std::uint64_t strayMemResponses = 0;
 
     double
     hitRate() const
@@ -65,6 +70,8 @@ struct L3Stats
         memoryWrites += o.memoryWrites;
         probesSent += o.probesSent;
         invalidationsSent += o.invalidationsSent;
+        restarts += o.restarts;
+        strayMemResponses += o.strayMemResponses;
         return *this;
     }
 };

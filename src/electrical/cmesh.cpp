@@ -1,5 +1,8 @@
 #include "electrical/cmesh.hpp"
 
+#include <bit>
+#include <string>
+
 #include "common/log.hpp"
 
 namespace pearl {
@@ -9,16 +12,46 @@ using sim::Cycle;
 using sim::NodeId;
 using sim::Packet;
 
+namespace {
+
+constexpr std::uint64_t
+bit(int i)
+{
+    return std::uint64_t{1} << i;
+}
+
+/** The `n`-bit mask rotated so that bit k of the result is bit
+ *  (base + k) mod n of `mask`: scan step k of a round robin from base. */
+std::uint64_t
+rotateFrom(std::uint64_t mask, int base, int n)
+{
+    if (base == 0)
+        return mask;
+    return ((mask >> base) | (mask << (n - base))) & (bit(n) - 1);
+}
+
+/** `i + 1` wrapped to [0, n). */
+int
+nextWrapped(int i, int n)
+{
+    return i + 1 == n ? 0 : i + 1;
+}
+
+} // namespace
+
 CmeshNetwork::CmeshNetwork(const CmeshConfig &cfg)
     : cfg_(cfg), numRouters_(cfg.meshX * cfg.meshY),
       numEndpoints_(numRouters_ + 1)
 {
     PEARL_ASSERT(cfg_.numVcs >= 2 && cfg_.numVcs % 2 == 0,
                  "need an even VC count for request/response classes");
+    PEARL_ASSERT(kCmeshMaxPorts * cfg_.numVcs <= kCmeshMaskBits,
+                 "numVcs overflows the allocators' request masks");
     PEARL_ASSERT(cfg_.l3Router >= 0 && cfg_.l3Router < numRouters_);
 
     routers_.resize(static_cast<std::size_t>(numRouters_));
-    interfaces_.resize(static_cast<std::size_t>(numEndpoints_));
+    interfaces_.assign(static_cast<std::size_t>(numEndpoints_),
+                       NetworkInterface(cfg_.injectionQueueDepth));
     endpointPort_.resize(static_cast<std::size_t>(numEndpoints_));
 
     for (int r = 0; r < numRouters_; ++r) {
@@ -26,17 +59,25 @@ CmeshNetwork::CmeshNetwork(const CmeshConfig &cfg)
         router.localEndpoints.push_back(r); // the cluster endpoint
         if (r == cfg_.l3Router)
             router.localEndpoints.push_back(numRouters_); // the L3
+        for (int dir = 0; dir < 4; ++dir)
+            router.neighbors[static_cast<std::size_t>(dir)] =
+                neighbor(r, dir);
         const int num_ports =
             4 + static_cast<int>(router.localEndpoints.size());
-        router.inputs.assign(static_cast<std::size_t>(num_ports), {});
+        router.inputs.assign(
+            static_cast<std::size_t>(num_ports * cfg_.numVcs),
+            InputVc(cfg_.vcDepthFlits));
         router.outputs.resize(static_cast<std::size_t>(num_ports));
         for (int p = 0; p < num_ports; ++p) {
-            router.inputs[static_cast<std::size_t>(p)].resize(
-                static_cast<std::size_t>(cfg_.numVcs));
             auto &out = router.outputs[static_cast<std::size_t>(p)];
             out.vcs.resize(static_cast<std::size_t>(cfg_.numVcs));
             for (auto &vc : out.vcs)
                 vc.credits = cfg_.vcDepthFlits;
+            // Local (ejection) ports are as wide as the endpoint
+            // interface; mesh links carry one flit per cycle.
+            if (p >= 4)
+                out.width = localWidth(
+                    router.localEndpoints[static_cast<std::size_t>(p - 4)]);
         }
         for (std::size_t i = 0; i < router.localEndpoints.size(); ++i) {
             endpointPort_[static_cast<std::size_t>(
@@ -135,10 +176,19 @@ CmeshNetwork::inject(const Packet &pkt)
 {
     if (!canInject(pkt))
         return false;
-    Packet copy = pkt;
+    std::uint32_t slot;
+    if (freeSlots_.empty()) {
+        slot = static_cast<std::uint32_t>(packets_.size());
+        packets_.push_back(pkt);
+    } else {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+        packets_[slot] = pkt;
+    }
+    Packet &copy = packets_[slot];
     copy.cycleInjected = cycle_;
     stats_.noteInjected(copy);
-    interfaces_[static_cast<std::size_t>(pkt.src)].queue.push_back(copy);
+    interfaces_[static_cast<std::size_t>(pkt.src)].queue.push_back(slot);
     return true;
 }
 
@@ -148,37 +198,31 @@ CmeshNetwork::ejectFlit(const Flit &flit)
     dynamicEnergyJ_ += cfg_.energy.ejectEnergyJ(sim::kFlitBits);
     --flitsInFlight_;
     if (flit.tail) {
-        Packet pkt = *flit.pkt;
+        Packet &pkt = packets_[flit.pkt];
         pkt.cycleDelivered = cycle_;
         stats_.noteDelivered(pkt);
         delivered_.push_back(pkt);
+        freeSlots_.push_back(flit.pkt);
     }
 }
 
 void
 CmeshNetwork::deliverLinkFlits()
 {
-    for (int r = 0; r < numRouters_; ++r) {
-        Router &router = routers_[static_cast<std::size_t>(r)];
-        const int num_ports = static_cast<int>(router.outputs.size());
-        for (int p = 0; p < num_ports; ++p) {
+    for (Router &router : routers_) {
+        // Only mesh ports drive a link; local ports eject directly.
+        for (int p = 0; p < 4; ++p) {
             OutputPort &out = router.outputs[static_cast<std::size_t>(p)];
             if (!out.linkReg || cycle_ < out.linkReadyAt)
                 continue;
-            {
-                const int n = neighbor(r, p);
-                PEARL_ASSERT(n >= 0, "flit sent off the mesh edge");
-                const int in_port = oppositePort(p);
-                auto &fifo =
-                    routers_[static_cast<std::size_t>(n)]
-                        .inputs[static_cast<std::size_t>(in_port)]
-                               [static_cast<std::size_t>(out.linkVc)]
-                        .fifo;
-                PEARL_ASSERT(static_cast<int>(fifo.size()) <
-                                 cfg_.vcDepthFlits,
-                             "credit protocol violated");
-                fifo.push_back(*out.linkReg);
-            }
+            const int n = router.neighbors[static_cast<std::size_t>(p)];
+            PEARL_ASSERT(n >= 0, "flit sent off the mesh edge");
+            Router &down = routers_[static_cast<std::size_t>(n)];
+            auto &fifo = inputVc(down, oppositePort(p), out.linkVc).fifo;
+            PEARL_ASSERT(static_cast<int>(fifo.size()) < cfg_.vcDepthFlits,
+                         "credit protocol violated");
+            fifo.push_back(*out.linkReg);
+            ++down.buffered;
             out.linkReg.reset();
             out.linkVc = -1;
         }
@@ -193,17 +237,16 @@ CmeshNetwork::injectFromInterface(int e)
         return;
     const auto [r, port] = endpointPort_[static_cast<std::size_t>(e)];
     Router &router = routers_[static_cast<std::size_t>(r)];
-    auto &vcs = router.inputs[static_cast<std::size_t>(port)];
 
-    Packet &pkt = ni.queue.front();
-    const int flits = pkt.numFlits();
+    const std::uint32_t slot = ni.queue.front();
+    const int flits = packets_[slot].numFlits();
 
     // Find (or continue with) the VC carrying this packet.
     if (ni.flitsSent == 0) {
-        const int base = vcClassBase(pkt);
+        const int base = vcClassBase(packets_[slot]);
         int chosen = -1;
         for (int v = base; v < base + cfg_.numVcs / 2; ++v) {
-            InputVc &vc = vcs[static_cast<std::size_t>(v)];
+            const InputVc &vc = inputVc(router, port, v);
             if (vc.fifo.empty() && !vc.routed) {
                 chosen = v;
                 break;
@@ -212,27 +255,22 @@ CmeshNetwork::injectFromInterface(int e)
         if (chosen < 0)
             return; // all class VCs busy; retry next cycle
         ni.curVc = chosen;
-        ni.pktShared = std::make_shared<Packet>(pkt);
     }
 
     // The NI datapath pushes up to the local-port width per cycle.
+    InputVc &vc = inputVc(router, port, ni.curVc);
     int budget = localWidth(e);
     while (budget-- > 0) {
-        InputVc &vc = vcs[static_cast<std::size_t>(ni.curVc)];
         if (static_cast<int>(vc.fifo.size()) >= cfg_.vcDepthFlits)
             break;
-        Flit flit;
-        flit.pkt = ni.pktShared;
-        flit.seq = ni.flitsSent;
-        flit.head = ni.flitsSent == 0;
-        flit.tail = ni.flitsSent == flits - 1;
-        vc.fifo.push_back(flit);
+        vc.fifo.push_back(Flit{slot, ni.flitsSent == 0,
+                               ni.flitsSent == flits - 1});
+        ++router.buffered;
         ++flitsInFlight_;
         ++ni.flitsSent;
         if (ni.flitsSent == flits) {
             ni.queue.pop_front();
             ni.flitsSent = 0;
-            ni.pktShared.reset();
             break; // next packet picks a VC next cycle
         }
     }
@@ -242,39 +280,46 @@ void
 CmeshNetwork::routeAndAllocate(int router_id)
 {
     Router &router = routers_[static_cast<std::size_t>(router_id)];
-    const int num_ports = static_cast<int>(router.inputs.size());
+    const int total_vcs = static_cast<int>(router.inputs.size());
+    const int va_start = router.vaPointer;
+    // The pointer advances every cycle, busy or idle.
+    router.vaPointer = nextWrapped(va_start, total_vcs);
+    if (router.buffered == 0)
+        return;
 
-    // Route computation for fresh head flits.
-    for (int p = 0; p < num_ports; ++p) {
-        for (int v = 0; v < cfg_.numVcs; ++v) {
-            InputVc &vc =
-                router.inputs[static_cast<std::size_t>(p)]
-                             [static_cast<std::size_t>(v)];
-            if (vc.routed || vc.fifo.empty() || !vc.fifo.front().head)
-                continue;
-            vc.outPort = computeRoute(router_id, *vc.fifo.front().pkt);
+    // Route computation for fresh head flits, collecting the routed
+    // heads still without a downstream VC.
+    std::uint64_t waiting = 0;
+    for (int idx = 0; idx < total_vcs; ++idx) {
+        InputVc &vc = router.inputs[static_cast<std::size_t>(idx)];
+        if (vc.fifo.empty())
+            continue;
+        if (!vc.routed && vc.fifo.front().head) {
+            vc.outPort =
+                computeRoute(router_id, packets_[vc.fifo.front().pkt]);
             vc.routed = true;
         }
+        if (vc.routed && vc.outVc < 0)
+            waiting |= bit(idx);
     }
 
-    // VC allocation for routed heads without a downstream VC.
-    const int total_vcs = num_ports * cfg_.numVcs;
-    for (int i = 0; i < total_vcs; ++i) {
-        const int idx = (router.vaPointer + i) % total_vcs;
-        const int p = idx / cfg_.numVcs;
-        const int v = idx % cfg_.numVcs;
-        InputVc &vc = router.inputs[static_cast<std::size_t>(p)]
-                                   [static_cast<std::size_t>(v)];
-        if (!vc.routed || vc.outVc >= 0 || vc.fifo.empty())
-            continue;
+    // VC allocation in round-robin order from vaPointer.  Granting one
+    // input VC changes no other's eligibility, only which output VCs
+    // are left, so walking the collected bits is the full scan.
+    for (std::uint64_t order = rotateFrom(waiting, va_start, total_vcs);
+         order != 0; order &= order - 1) {
+        int idx = va_start + std::countr_zero(order);
+        if (idx >= total_vcs)
+            idx -= total_vcs;
+        InputVc &vc = router.inputs[static_cast<std::size_t>(idx)];
         if (isLocalPort(router_id, vc.outPort)) {
             // Ejection needs no downstream VC.
-            vc.outVc = v;
+            vc.outVc = idx % cfg_.numVcs;
             continue;
         }
         OutputPort &out =
             router.outputs[static_cast<std::size_t>(vc.outPort)];
-        const int base = vcClassBase(*vc.fifo.front().pkt);
+        const int base = vcClassBase(packets_[vc.fifo.front().pkt]);
         for (int ov = base; ov < base + cfg_.numVcs / 2; ++ov) {
             OutputVc &ovc = out.vcs[static_cast<std::size_t>(ov)];
             if (!ovc.allocated) {
@@ -284,40 +329,58 @@ CmeshNetwork::routeAndAllocate(int router_id)
             }
         }
     }
-    router.vaPointer = (router.vaPointer + 1) % total_vcs;
 }
 
 void
 CmeshNetwork::switchAllocate(int router_id)
 {
     Router &router = routers_[static_cast<std::size_t>(router_id)];
-    const int num_ports = static_cast<int>(router.inputs.size());
-    const int total_vcs = num_ports * cfg_.numVcs;
+    if (router.buffered == 0)
+        return;
+    const int num_ports = static_cast<int>(router.outputs.size());
+    const int total_vcs = static_cast<int>(router.inputs.size());
+
+    // Each output port's requests: the input VCs holding a flit with a
+    // route and a downstream VC.  A VC asks for one port only, so a
+    // grant on one port never changes another port's requests.
+    std::array<std::uint64_t, kCmeshMaxPorts> requests{};
+    for (int idx = 0; idx < total_vcs; ++idx) {
+        const InputVc &vc = router.inputs[static_cast<std::size_t>(idx)];
+        if (vc.routed && vc.outVc >= 0 && !vc.fifo.empty())
+            requests[static_cast<std::size_t>(vc.outPort)] |= bit(idx);
+    }
 
     for (int out_port = 0; out_port < num_ports; ++out_port) {
+        std::uint64_t wanting =
+            requests[static_cast<std::size_t>(out_port)];
+        if (wanting == 0)
+            continue;
         OutputPort &out =
             router.outputs[static_cast<std::size_t>(out_port)];
-        const bool local = isLocalPort(router_id, out_port);
+        const bool local = out_port >= 4;
         if (!local && out.linkReg)
             continue; // link busy this cycle
-        // Local (ejection) ports are as wide as the endpoint interface;
-        // mesh links carry one flit per cycle.
-        int budget = 1;
-        if (local) {
-            budget = localWidth(
-                router.localEndpoints[static_cast<std::size_t>(out_port -
-                                                               4)]);
-        }
+        int budget = out.width;
+        // Scan step i probes VC (rrPointer + i) mod total_vcs with the
+        // pointer as it is *now*, and the pointer moves to just past
+        // every grant.  So after a grant at step i the scan resumes i + 1
+        // VCs further on than a plain round robin would, and with a
+        // budget above one (ejection ports) its last steps can wrap back
+        // to the VC just served.  Kept deliberately: it is the model's
+        // cycle behaviour (DESIGN.md "CMESH allocator").  The walk
+        // re-rotates the request mask from the moved pointer after each
+        // grant and resumes at step i + 1, which probes exactly the VCs
+        // the per-step scan probes.
         for (int i = 0; i < total_vcs && budget > 0; ++i) {
-            const int idx = (out.rrPointer + i) % total_vcs;
-            const int p = idx / cfg_.numVcs;
-            const int v = idx % cfg_.numVcs;
-            InputVc &vc = router.inputs[static_cast<std::size_t>(p)]
-                                       [static_cast<std::size_t>(v)];
-            if (!vc.routed || vc.outPort != out_port || vc.fifo.empty() ||
-                vc.outVc < 0) {
-                continue;
-            }
+            const std::uint64_t ahead =
+                rotateFrom(wanting, out.rrPointer, total_vcs) >> i;
+            if (ahead == 0)
+                break;
+            i += std::countr_zero(ahead);
+            int idx = out.rrPointer + i;
+            if (idx >= total_vcs)
+                idx -= total_vcs;
+            InputVc &vc = router.inputs[static_cast<std::size_t>(idx)];
             if (!local) {
                 OutputVc &ovc =
                     out.vcs[static_cast<std::size_t>(vc.outVc)];
@@ -326,8 +389,9 @@ CmeshNetwork::switchAllocate(int router_id)
                 --ovc.credits;
             }
 
-            Flit flit = vc.fifo.front();
+            const Flit flit = vc.fifo.front();
             vc.fifo.pop_front();
+            --router.buffered;
             if (local) {
                 ejectFlit(flit);
                 --budget;
@@ -338,16 +402,16 @@ CmeshNetwork::switchAllocate(int router_id)
                     cycle_ + static_cast<sim::Cycle>(cfg_.linkCyclesPerFlit);
                 dynamicEnergyJ_ += cfg_.energy.hopEnergyJ(sim::kFlitBits);
             }
-            out.rrPointer = (idx + 1) % total_vcs;
+            out.rrPointer = nextWrapped(idx, total_vcs);
 
             // Credit return to the upstream router this VC drains from.
+            const int p = idx / cfg_.numVcs;
             if (p < 4) {
-                const int up = neighbor(router_id, p);
+                const int up = router.neighbors[static_cast<std::size_t>(p)];
                 if (up >= 0) {
-                    const int up_out = oppositePort(p);
                     ++routers_[static_cast<std::size_t>(up)]
-                          .outputs[static_cast<std::size_t>(up_out)]
-                          .vcs[static_cast<std::size_t>(v)]
+                          .outputs[static_cast<std::size_t>(oppositePort(p))]
+                          .vcs[static_cast<std::size_t>(idx % cfg_.numVcs)]
                           .credits;
                 }
             }
@@ -361,6 +425,8 @@ CmeshNetwork::switchAllocate(int router_id)
                 vc.outPort = -1;
                 vc.outVc = -1;
             }
+            if (flit.tail || vc.fifo.empty())
+                wanting &= ~bit(idx);
             if (!local)
                 break; // one flit per mesh link per cycle
         }
@@ -385,14 +451,71 @@ CmeshNetwork::countBufferedFlits() const
 {
     std::uint64_t count = 0;
     for (const Router &router : routers_) {
-        for (const auto &port : router.inputs) {
-            for (const InputVc &vc : port)
-                count += vc.fifo.size();
-        }
+        for (const InputVc &vc : router.inputs)
+            count += vc.fifo.size();
         for (const OutputPort &out : router.outputs)
             count += out.linkReg ? 1 : 0;
     }
     return count;
+}
+
+std::optional<std::string>
+CmeshNetwork::audit() const
+{
+    const auto where = [](int r, int p, int v) {
+        return "router " + std::to_string(r) + " port " +
+               std::to_string(p) + " vc " + std::to_string(v);
+    };
+    for (int r = 0; r < numRouters_; ++r) {
+        const Router &router = routers_[static_cast<std::size_t>(r)];
+        const int num_ports = static_cast<int>(router.outputs.size());
+
+        int buffered = 0;
+        for (const InputVc &vc : router.inputs)
+            buffered += static_cast<int>(vc.fifo.size());
+        if (buffered != router.buffered)
+            return "router " + std::to_string(r) + " counts " +
+                   std::to_string(router.buffered) +
+                   " buffered flits, recount " + std::to_string(buffered);
+
+        for (int p = 0; p < num_ports; ++p) {
+            const OutputPort &out =
+                router.outputs[static_cast<std::size_t>(p)];
+            for (int v = 0; v < cfg_.numVcs; ++v) {
+                const OutputVc &ovc = out.vcs[static_cast<std::size_t>(v)];
+                if (p < 4) {
+                    const int n =
+                        router.neighbors[static_cast<std::size_t>(p)];
+                    const std::size_t queued =
+                        n < 0 ? 0
+                              : inputVc(routers_[static_cast<std::size_t>(n)],
+                                        oppositePort(p), v)
+                                    .fifo.size();
+                    const int on_link = out.linkReg && out.linkVc == v;
+                    if (ovc.credits + static_cast<int>(queued) + on_link !=
+                        cfg_.vcDepthFlits) {
+                        return where(r, p, v) + ": credits " +
+                               std::to_string(ovc.credits) + " + queued " +
+                               std::to_string(queued) + " + on link " +
+                               std::to_string(on_link) + " != depth " +
+                               std::to_string(cfg_.vcDepthFlits);
+                    }
+                }
+                int holders = 0;
+                for (const InputVc &in : router.inputs)
+                    holders += in.outPort == p && in.outVc == v && p < 4;
+                if (holders != (ovc.allocated ? 1 : 0))
+                    return where(r, p, v) +
+                           (ovc.allocated ? ": allocated" : ": free") +
+                           " output VC held by " + std::to_string(holders) +
+                           " input VCs";
+            }
+        }
+    }
+    if (countBufferedFlits() != flitsInFlight_)
+        return "flitsInFlight " + std::to_string(flitsInFlight_) +
+               " != recount " + std::to_string(countBufferedFlits());
+    return std::nullopt;
 }
 
 bool

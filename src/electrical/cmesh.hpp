@@ -18,18 +18,26 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "electrical/energy.hpp"
 #include "sim/network.hpp"
 #include "sim/packet.hpp"
+#include "sim/ring_queue.hpp"
 #include "sim/stats.hpp"
 
 namespace pearl {
 namespace electrical {
+
+/** Mesh ports of a router plus the most local ports one can host (the
+ *  cluster and, on the L3 router, the MC endpoint). */
+inline constexpr int kCmeshMaxPorts = 4 + 2;
+
+/** Width of the allocators' request masks: one bit per (input port, VC)
+ *  pair of a router, so kCmeshMaxPorts * numVcs must fit. */
+inline constexpr int kCmeshMaskBits = 64;
 
 /** Configuration of the CMESH baseline. */
 struct CmeshConfig
@@ -47,15 +55,6 @@ struct CmeshConfig
      *  against the 32- and 16-wavelength photonic states (Figure 5). */
     int linkCyclesPerFlit = 1;
     ElectricalConstants energy;
-};
-
-/** A flit in flight; head flits carry the packet. */
-struct Flit
-{
-    std::shared_ptr<sim::Packet> pkt;
-    int seq = 0;
-    bool head = false;
-    bool tail = false;
 };
 
 /** The CMESH network model. */
@@ -103,10 +102,33 @@ class CmeshNetwork : public sim::Network
      *  verification plane checks it equals flitsInFlight(). */
     std::uint64_t countBufferedFlits() const;
 
+    /**
+     * Verification-plane check of the flow-control state (see DESIGN.md
+     * "CMESH allocator"): on every mesh output VC, credits + downstream
+     * FIFO occupancy + a flit for that VC on the link = vcDepthFlits;
+     * every allocated output VC is held by exactly one input VC of its
+     * router and no free one is held; each router's buffered-flit count
+     * and flitsInFlight() match a recount.
+     * @return the first violation, or nullopt when consistent.
+     */
+    std::optional<std::string> audit() const;
+
   private:
+    /** A flit in flight: a slot of packets_ plus its place in the packet. */
+    struct Flit
+    {
+        std::uint32_t pkt = 0;
+        bool head = false;
+        bool tail = false;
+    };
+
     struct InputVc
     {
-        std::deque<Flit> fifo;
+        explicit InputVc(int depth)
+            : fifo(static_cast<std::size_t>(depth))
+        {}
+
+        sim::RingQueue<Flit> fifo;
         int outPort = -1;
         int outVc = -1;
         bool routed = false;
@@ -125,24 +147,32 @@ class CmeshNetwork : public sim::Network
         int linkVc = -1;             //!< downstream VC of linkReg
         sim::Cycle linkReadyAt = 0;  //!< when linkReg reaches downstream
         int rrPointer = 0;           //!< switch-allocation round robin
+        int width = 1;               //!< flits granted per cycle
     };
 
     struct Router
     {
         // Ports 0..3: mesh N/E/S/W; 4..: local endpoint ports.
-        std::vector<std::vector<InputVc>> inputs; //!< [port][vc]
+        /** [port * numVcs + vc]: the allocators' round-robin order, and
+         *  the bit of that VC in their request masks. */
+        std::vector<InputVc> inputs;
         std::vector<OutputPort> outputs;
         std::vector<sim::NodeId> localEndpoints;  //!< per local port
+        std::array<int, 4> neighbors{};           //!< per mesh port, or -1
         int vaPointer = 0;                        //!< VC-allocation RR
+        int buffered = 0; //!< flits in the input FIFOs
     };
 
     /** Per-endpoint network interface: packets waiting to become flits. */
     struct NetworkInterface
     {
-        std::deque<sim::Packet> queue;
+        explicit NetworkInterface(int depth)
+            : queue(static_cast<std::size_t>(depth))
+        {}
+
+        sim::RingQueue<std::uint32_t> queue; //!< slots of packets_
         int flitsSent = 0;  //!< of the head packet
         int curVc = -1;     //!< VC carrying the head packet
-        std::shared_ptr<sim::Packet> pktShared; //!< head packet, shared
     };
 
     static constexpr int kPortN = 0;
@@ -164,18 +194,35 @@ class CmeshNetwork : public sim::Network
     void switchAllocate(int router_id);
     void ejectFlit(const Flit &flit);
 
+    InputVc &
+    inputVc(Router &router, int port, int vc)
+    {
+        return router.inputs[static_cast<std::size_t>(
+            port * cfg_.numVcs + vc)];
+    }
+
+    const InputVc &
+    inputVc(const Router &router, int port, int vc) const
+    {
+        return router.inputs[static_cast<std::size_t>(
+            port * cfg_.numVcs + vc)];
+    }
+
     CmeshConfig cfg_;
     int numRouters_;
     int numEndpoints_;
     std::vector<Router> routers_;
     std::vector<NetworkInterface> interfaces_;
+    /** Every packet from inject() to delivery; flits and NI queues hold
+     *  slot indices, freed slots are reused from freeSlots_. */
+    std::vector<sim::Packet> packets_;
+    std::vector<std::uint32_t> freeSlots_;
     std::vector<std::pair<int, int>> endpointPort_; //!< endpoint->(router,port)
     std::vector<sim::Packet> delivered_;
     sim::NetworkStats stats_;
     sim::Cycle cycle_ = 0;
     double dynamicEnergyJ_ = 0.0;
     std::uint64_t flitsInFlight_ = 0;
-
 };
 
 } // namespace electrical

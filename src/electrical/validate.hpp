@@ -27,6 +27,12 @@ validate(const CmeshConfig &cfg)
         return configError("cmesh.numVcs must be even and >= 2 (the "
                            "halves carry request/response classes), "
                            "got ", cfg.numVcs);
+    if (kCmeshMaxPorts * cfg.numVcs > kCmeshMaskBits)
+        return configError("cmesh.numVcs must be <= ",
+                           kCmeshMaskBits / kCmeshMaxPorts, " (",
+                           kCmeshMaxPorts, " ports x numVcs must fit the ",
+                           kCmeshMaskBits, "-bit allocator request masks), "
+                           "got ", cfg.numVcs);
     if (cfg.vcDepthFlits <= 0)
         return configError("cmesh.vcDepthFlits must be > 0, got ",
                            cfg.vcDepthFlits);

@@ -201,16 +201,21 @@ fillCommon(RunMetrics &m, const sim::NetworkStats &stats,
         stats.policyFallbackWindows() - warm.fallbackWindows;
 }
 
-/** MSHR-full retries parked in the clusters when the run ends, and the
- *  most any one cluster held at once. */
+/** MSHR-full retries parked in the clusters when the run ends, the
+ *  most any one cluster held at once, and the L3 banks' restarted
+ *  lookups and dropped memory responses (a late probe reply racing an
+ *  eviction; see L3Bank::handleProbeReply). */
 void
-publishParking(obs::MetricsRegistry &registry,
-               const core::HeteroSystem &system)
+publishCacheState(obs::MetricsRegistry &registry,
+                  const core::HeteroSystem &system)
 {
     registry.gauge("cache.mshr_parked") =
         static_cast<double>(system.parkedRetries());
     registry.gauge("cache.mshr_parked_peak") =
         static_cast<double>(system.peakParkedRetries());
+    const cache::L3Stats l3 = system.aggregateL3Stats();
+    registry.counter("cache.l3.restarts") = l3.restarts;
+    registry.counter("cache.l3.stray_mem_responses") = l3.strayMemResponses;
 }
 
 } // namespace
@@ -286,7 +291,7 @@ runPearl(const traffic::BenchmarkPair &pair,
             static_cast<double>(net.auditCounts().blocked);
         opts.registry->gauge("net.blocked_arrivals_peak") =
             static_cast<double>(net.peakBlocked());
-        publishParking(*opts.registry, system);
+        publishCacheState(*opts.registry, system);
         opts.registry->gauge("power.laser_w") = m.laserPowerW;
         opts.registry->gauge("power.energy_per_bit_pj") =
             m.energyPerBitPj;
@@ -317,9 +322,11 @@ runCmesh(const traffic::BenchmarkPair &pair,
     core::SystemConfig sys = opts.system;
     sys.seed = opts.seed;
     core::HeteroSystem system(net, pair, sys);
-    verify::Invariants invariants; // cluster audit only; see runPearl
-    if (verify::runtimeChecksEnabled())
+    verify::Invariants invariants; // clusters and mesh; see runPearl
+    if (verify::runtimeChecksEnabled()) {
+        invariants.watchCmesh(&net);
         system.setAuditor(&invariants);
+    }
     if (opts.tracer)
         traceRunStart(opts, config_name, pair.label());
 
@@ -344,7 +351,7 @@ runCmesh(const traffic::BenchmarkPair &pair,
                net.totalEnergyJ(dt));
     if (opts.registry) {
         net.stats().publishTo(*opts.registry);
-        publishParking(*opts.registry, system);
+        publishCacheState(*opts.registry, system);
     }
     if (opts.tracer) {
         // The electrical mesh has no fault plane; the zero summary

@@ -252,6 +252,10 @@ Invariants::afterStep(const core::HeteroSystem &system)
                      *violation);
         }
     }
+    if (cmesh_) {
+        if (auto violation = cmesh_->audit())
+            fail(system.network().cycle(), "cmesh: " + *violation);
+    }
 }
 
 } // namespace verify

@@ -28,7 +28,9 @@
  * attachable counts must match the retries in the phase buckets.
  * These counters steer which retries are examined but never change a
  * result, so a leak shows up only here (and as lost host time), never
- * in a golden.
+ * in a golden.  On a CMESH system (watchCmesh) it also checks the
+ * mesh's credits, output-VC ownership and buffered-flit counts
+ * (electrical::CmeshNetwork::audit) after each step.
  *
  * A violation throws InvariantViolation.  Checks are meant for Debug
  * builds and PEARL_VERIFY=1 runs: runtimeChecksEnabled() defaults on
@@ -48,6 +50,7 @@
 #include "common/env.hpp"
 #include "core/network.hpp"
 #include "core/system.hpp"
+#include "electrical/cmesh.hpp"
 
 namespace pearl {
 namespace verify {
@@ -90,6 +93,10 @@ class Invariants : public core::StepAuditor, public core::SystemAuditor
     void afterStep(const core::PearlNetwork &net) override;
     void afterStep(const core::HeteroSystem &system) override;
 
+    /** Also audit this CMESH fabric after every system step (nullptr
+     *  stops it).  The network must outlive the audited steps. */
+    void watchCmesh(const electrical::CmeshNetwork *net) { cmesh_ = net; }
+
     /** Steps audited so far (tests assert the hook actually ran). */
     std::uint64_t stepsAudited() const { return steps_; }
 
@@ -99,6 +106,7 @@ class Invariants : public core::StepAuditor, public core::SystemAuditor
   private:
     std::uint64_t steps_ = 0;
     std::uint64_t systemSteps_ = 0;
+    const electrical::CmeshNetwork *cmesh_ = nullptr;
     bool seen_ = false;
     sim::Cycle prevCycle_ = 0;
     double prevLaserJ_ = 0.0;

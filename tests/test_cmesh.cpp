@@ -131,9 +131,17 @@ TEST(Cmesh, RandomTrafficDrains)
         // Flit conservation: every flit the fabric counts sits in an
         // input FIFO or a link register.
         ASSERT_EQ(net.flitsInFlight(), net.countBufferedFlits());
+        // Credits, output-VC ownership and per-router flit counts.
+        const auto violation = net.audit();
+        ASSERT_FALSE(violation) << "cycle " << net.cycle() << ": "
+                                << *violation;
     }
-    for (int i = 0; i < 3000 && !net.idle(); ++i)
+    for (int i = 0; i < 3000 && !net.idle(); ++i) {
         net.step();
+        const auto violation = net.audit();
+        ASSERT_FALSE(violation) << "cycle " << net.cycle() << ": "
+                                << *violation;
+    }
     EXPECT_TRUE(net.idle());
     EXPECT_EQ(net.stats().deliveredPackets(),
               static_cast<std::uint64_t>(injected));
@@ -244,6 +252,38 @@ TEST(Cmesh, DeliveryOrderDigestNonSquareMeshEdgeMc)
     cfg.l3Router = 2; // x 2, y 0: middle of the south edge
     EXPECT_EQ(deliveryDigest(cfg, 5, 3000, 0.08),
               0x07936364cffe8636ULL);
+}
+
+TEST(Cmesh, WidestVcCountDrainsAudited)
+{
+    // Ten VCs per port fill 60 of the allocators' 64 request-mask bits
+    // on the MC router (6 ports); the round-robin rotation must still
+    // wrap correctly and the flow-control state stay consistent.
+    CmeshConfig cfg;
+    cfg.numVcs = 10;
+    CmeshNetwork net(cfg);
+    Rng rng(29);
+    int injected = 0;
+    for (int i = 0; i < 1500; ++i) {
+        const int src = static_cast<int>(rng.below(17));
+        const int dst = rng.chance(0.5) ? 16 : (src + 1) % 17;
+        const bool resp = rng.chance(0.5);
+        if (net.inject(meshPacket(src, dst,
+                                  resp ? CoherenceOp::Data
+                                       : CoherenceOp::Read,
+                                  resp ? sim::kResponseBits
+                                       : sim::kRequestBits)))
+            ++injected;
+        net.step();
+        const auto violation = net.audit();
+        ASSERT_FALSE(violation) << *violation;
+    }
+    for (int i = 0; i < 3000 && !net.idle(); ++i)
+        net.step();
+    EXPECT_TRUE(net.idle());
+    EXPECT_FALSE(net.audit());
+    EXPECT_EQ(net.stats().deliveredPackets(),
+              static_cast<std::uint64_t>(injected));
 }
 
 TEST(Cmesh, RequestsAndResponsesUseSeparateVcClasses)

@@ -29,6 +29,7 @@
 #include "metrics/sweep.hpp"
 #include "ml/pipeline.hpp"
 #include "ml/policy.hpp"
+#include "obs/registry.hpp"
 #include "traffic/suite.hpp"
 
 #ifndef PEARL_GOLDEN_DIR
@@ -385,6 +386,28 @@ TEST(GoldenMetrics, CmeshRowsMatchCheckedInResults)
     } else {
         compareGolden(cfg, runs);
     }
+}
+
+TEST(GoldenMetrics, CmeshL3RaceCountersPinned)
+{
+    // The golden CMESH grid hits the L3 late-probe-reply race twice: a
+    // probe reply for a line evicted mid-transaction restarts the
+    // lookup, and no duplicate memory fetch comes back stray.  Pinned
+    // so that a fix of the race shows up as a deliberate move.
+    traffic::BenchmarkSuite suite;
+    const GoldenConfig cfg = cmeshConfig(suite);
+    std::uint64_t restarts = 0;
+    std::uint64_t stray = 0;
+    for (std::size_t i = 0; i < cfg.jobs.size(); ++i) {
+        RunSpec job = cfg.jobs[i];
+        obs::MetricsRegistry reg;
+        job.options.registry = &reg;
+        executeSpec(job, deriveSeed(100, i));
+        restarts += reg.counters().at("cache.l3.restarts");
+        stray += reg.counters().at("cache.l3.stray_mem_responses");
+    }
+    EXPECT_EQ(restarts, 2u);
+    EXPECT_EQ(stray, 0u);
 }
 
 } // namespace

@@ -164,6 +164,20 @@ TEST(Validate, CmeshConfig)
                                 "linkCyclesPerFlit"));
 }
 
+TEST(Validate, CmeshNumVcsMustFitRequestMask)
+{
+    // The allocators keep one request bit per (input port, VC) pair of
+    // a router: 4 mesh ports plus up to 2 local ones (cluster and MC).
+    electrical::CmeshConfig cfg;
+    cfg.numVcs = 4; // the paper's configuration
+    EXPECT_TRUE(electrical::validate(cfg));
+    cfg.numVcs = 10; // 6 x 10 = 60 bits: the widest that fits
+    EXPECT_TRUE(electrical::validate(cfg));
+    cfg.numVcs = 12; // 6 x 12 = 72 bits
+    EXPECT_TRUE(failsMentioning(electrical::validate(cfg), "numVcs"));
+    EXPECT_TRUE(failsMentioning(electrical::validate(cfg), "mask"));
+}
+
 // Photonic ---------------------------------------------------------------
 
 TEST(Validate, ReservationChannel)

@@ -25,6 +25,7 @@
 #include "core/system.hpp"
 #include "core/topology.hpp"
 #include "core/validate.hpp"
+#include "electrical/cmesh.hpp"
 #include "metrics/sweep.hpp"
 #include "ml/guarded_policy.hpp"
 #include "photonic/laser.hpp"
@@ -619,6 +620,30 @@ TEST(Invariants, ClusterParkingAuditedEveryStepOnGoldenReactiveRun)
     EXPECT_NO_THROW(system.run(400 + 2500));
     EXPECT_EQ(invariants.systemStepsAudited(), 2900u);
     EXPECT_GT(system.peakParkedRetries(), 0u);
+}
+
+TEST(Invariants, CmeshAuditedEveryStepOnGoldenRun)
+{
+    // The golden grid's CMESH Rad+QRS row with the mesh audit installed
+    // beside the cluster audit, as runCmesh does under PEARL_VERIFY:
+    // after every step each mesh output VC's credits plus what sits
+    // downstream (FIFO and link) must equal the VC depth, each
+    // allocated output VC must have exactly one holder, and the
+    // per-router flit counts that let idle routers be skipped must
+    // match a recount.
+    traffic::BenchmarkSuite suite;
+    electrical::CmeshNetwork net;
+    Invariants invariants;
+    invariants.watchCmesh(&net);
+    core::SystemConfig sys;
+    sys.seed = deriveSeed(100, 0); // the golden sweep's seed for this row
+    core::HeteroSystem system(net, {suite.find("Rad"), suite.find("QRS")},
+                              sys);
+    system.setAuditor(&invariants);
+
+    EXPECT_NO_THROW(system.run(400 + 2500));
+    EXPECT_EQ(invariants.systemStepsAudited(), 2900u);
+    EXPECT_GT(net.stats().deliveredPackets(), 0u);
 }
 
 TEST(Invariants, ConservationHoldsOnBalancedCounts)
