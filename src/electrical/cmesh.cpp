@@ -144,15 +144,6 @@ CmeshNetwork::computeRoute(int router, const Packet &pkt) const
     return dst_port;
 }
 
-bool
-CmeshNetwork::isLocalPort(int router, int port) const
-{
-    return port >= 4 &&
-           port < 4 + static_cast<int>(
-                          routers_[static_cast<std::size_t>(router)]
-                              .localEndpoints.size());
-}
-
 int
 CmeshNetwork::vcClassBase(const Packet &pkt) const
 {
@@ -312,7 +303,7 @@ CmeshNetwork::routeAndAllocate(int router_id)
         if (idx >= total_vcs)
             idx -= total_vcs;
         InputVc &vc = router.inputs[static_cast<std::size_t>(idx)];
-        if (isLocalPort(router_id, vc.outPort)) {
+        if (vc.outPort >= 4) {
             // Ejection needs no downstream VC.
             vc.outVc = idx % cfg_.numVcs;
             continue;
@@ -468,8 +459,6 @@ CmeshNetwork::audit() const
     };
     for (int r = 0; r < numRouters_; ++r) {
         const Router &router = routers_[static_cast<std::size_t>(r)];
-        const int num_ports = static_cast<int>(router.outputs.size());
-
         int buffered = 0;
         for (const InputVc &vc : router.inputs)
             buffered += static_cast<int>(vc.fifo.size());
@@ -478,32 +467,30 @@ CmeshNetwork::audit() const
                    std::to_string(router.buffered) +
                    " buffered flits, recount " + std::to_string(buffered);
 
-        for (int p = 0; p < num_ports; ++p) {
+        // Only mesh ports have credits and downstream VCs to allocate.
+        for (int p = 0; p < 4; ++p) {
             const OutputPort &out =
                 router.outputs[static_cast<std::size_t>(p)];
+            const int n = router.neighbors[static_cast<std::size_t>(p)];
             for (int v = 0; v < cfg_.numVcs; ++v) {
                 const OutputVc &ovc = out.vcs[static_cast<std::size_t>(v)];
-                if (p < 4) {
-                    const int n =
-                        router.neighbors[static_cast<std::size_t>(p)];
-                    const std::size_t queued =
-                        n < 0 ? 0
-                              : inputVc(routers_[static_cast<std::size_t>(n)],
-                                        oppositePort(p), v)
-                                    .fifo.size();
-                    const int on_link = out.linkReg && out.linkVc == v;
-                    if (ovc.credits + static_cast<int>(queued) + on_link !=
-                        cfg_.vcDepthFlits) {
-                        return where(r, p, v) + ": credits " +
-                               std::to_string(ovc.credits) + " + queued " +
-                               std::to_string(queued) + " + on link " +
-                               std::to_string(on_link) + " != depth " +
-                               std::to_string(cfg_.vcDepthFlits);
-                    }
+                const std::size_t queued =
+                    n < 0 ? 0
+                          : inputVc(routers_[static_cast<std::size_t>(n)],
+                                    oppositePort(p), v)
+                                .fifo.size();
+                const int on_link = out.linkReg && out.linkVc == v;
+                if (ovc.credits + static_cast<int>(queued) + on_link !=
+                    cfg_.vcDepthFlits) {
+                    return where(r, p, v) + ": credits " +
+                           std::to_string(ovc.credits) + " + queued " +
+                           std::to_string(queued) + " + on link " +
+                           std::to_string(on_link) + " != depth " +
+                           std::to_string(cfg_.vcDepthFlits);
                 }
                 int holders = 0;
                 for (const InputVc &in : router.inputs)
-                    holders += in.outPort == p && in.outVc == v && p < 4;
+                    holders += in.outPort == p && in.outVc == v;
                 if (holders != (ovc.allocated ? 1 : 0))
                     return where(r, p, v) +
                            (ovc.allocated ? ": allocated" : ": free") +

@@ -185,7 +185,6 @@ class CmeshNetwork : public sim::Network
     int neighbor(int router, int dir) const;
     int oppositePort(int dir) const;
     int computeRoute(int router, const sim::Packet &pkt) const;
-    bool isLocalPort(int router, int port) const;
     int vcClassBase(const sim::Packet &pkt) const;
 
     void deliverLinkFlits();
